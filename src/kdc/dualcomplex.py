@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from . import polytope
 from . import strata as st
 from .errors import InvariantError
-from .linechart import Classification, classify
+from .linechart import Classification
 
 SCHEMA_VERSION = "kdc-1"
 
@@ -53,9 +53,8 @@ def _lattice_shape(chart, k: int) -> Tuple[int, int, int]:
 
 
 def _make_cell(s: st.Stratum, k: int, cid: str) -> Cell:
-    chart = st.chart_of(s)
-    cls = classify(chart, k)
-    shape = _lattice_shape(chart, k)
+    cls = st.classify_stratum(s, k)
+    shape = _lattice_shape(st.chart_of(s), k)
     dim = st.cell_dimension(s)
     expected = shape[0] - 1 if cls is Classification.NARROW else sum(shape) - 2
     if dim != expected:
@@ -137,10 +136,7 @@ def build(n: int, N: int) -> DualComplex:
     incidence = set()
     for s, k in pairs:
         cid = index[(st.canonical_key(s), k)]
-        d = st.cell_dimension(s)
-        for face, fk in st.face_items(s, k):
-            if st.cell_dimension(face) != d - 1:
-                continue
+        for face, fk in st.face_items(s, k, codim=1):
             fid = index.get((st.canonical_key(face), fk))
             if fid is None:
                 raise InvariantError(
@@ -195,30 +191,17 @@ def delta_K(top: st.Stratum, k: Optional[int] = None) -> LocalComplex:
     elif k not in levels:
         raise ValueError("k=%d is not a neutral level of this stratum" % k)
 
-    chart = st.chart_of(top)
-    verts = chart.vertices
+    verts = st.chart_of(top).vertices
     v = len(verts)
     dims = {}
     cells = {}
-    for mask in range(1, 1 << v):
-        kept = [i for i in range(v) if mask >> i & 1]
-        ys = [verts[i].y for i in kept]
-        lo, hi = min(ys), max(ys)
-        wide = lo < 2 * k < hi
-        if not (wide or lo == 2 * k == hi):
-            continue
-        support = frozenset((verts[i].x, verts[i].y) for i in kept)
-        dims[support] = len(kept) - 2 if wide else len(kept) - 1
+    for mask, dim in st._face_masks(verts, k):
+        support = frozenset((verts[i].x, verts[i].y) for i in range(v) if mask >> i & 1)
+        dims[support] = dim
         if mask == (1 << v) - 1:
             face, fk = top, k
         else:
-            dropped = [top.b + 1 - i for i in range(v) if not mask >> i & 1]
-            face = st.Stratum(
-                top.n, top.N, top.b - len(dropped),
-                [st.PointLabel(p.tau, st._collapse(p.x, dropped)) for p in top.points],
-            )
-            first = verts[kept[0]]
-            fk = k + (first.x - first.y) // 2
+            face, fk = st._collapse_face(top, verts, mask, k)
         cells[support] = _make_cell(face, fk, st.format_stratum(face))
     local = LocalComplex(_make_cell(top, k, st.format_stratum(top)),
                          polytope.FacePoset(dims), cells)

@@ -107,7 +107,11 @@ def _require_valid(chart: LineChart) -> None:
 def valid_neutral_levels(chart: LineChart) -> frozenset[int]:
     """All k whose neutral line y = 2k makes the chart admissible."""
     _require_valid(chart)
-    ys = chart.heights
+    return _levels_of_heights(chart.heights)
+
+
+def _levels_of_heights(ys) -> frozenset[int]:
+    """valid_neutral_levels of a chart known to be valid, from its heights."""
     lo, hi = min(ys), max(ys)
     if lo == hi:
         # narrow case needs the common height to be even
@@ -187,7 +191,7 @@ def enumerate_complete_admissible(n: int) -> list[tuple[LineChart, int]]:
         raise ValueError("n must be at least 1")
     pairs = []
     for chart in _complete_charts(n):
-        for k in sorted(valid_neutral_levels(chart)):
+        for k in sorted(_levels_of_heights(chart.heights)):
             pairs.append((chart, k))
     return pairs
 

@@ -189,11 +189,6 @@ def slice_lattice(n_plus: int, n_minus: int, n_zero: int) -> FacePoset:
     return FacePoset(dims)
 
 
-# keep the short name available on the module without shadowing the
-# builtin inside it
-slice = slice_lattice
-
-
 def _cover_maps(p: FacePoset):
     up: Dict[Face, Tuple[Face, ...]] = {f: () for f in p.faces}
     down: Dict[Face, Tuple[Face, ...]] = {f: () for f in p.faces}

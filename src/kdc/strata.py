@@ -23,7 +23,6 @@ from typing import Iterator, Optional
 from .linechart import (
     Classification,
     LineChart,
-    classify,
     valid_neutral_levels,
     validate,
 )
@@ -33,8 +32,14 @@ from .linechart import (
 class PointLabel:
     """One point: cycle-block residue tau and signed level x."""
 
+    __slots__ = ("tau", "x")
     tau: int
     x: int
+
+    # copy and pickle cannot set the slots of a frozen dataclass, so they
+    # rebuild through the constructor
+    def __reduce__(self):
+        return PointLabel, (self.tau, self.x)
 
     def __str__(self) -> str:
         return f"({self.tau},{self.x:+d})" if self.x else f"({self.tau},0)"
@@ -54,8 +59,13 @@ class Stratum:
     side while their residue drops by one, and points are sorted.
     Validation enforces |x| <= b+1 and stability, meaning every level
     1..b carries at least one point.
+
+    The chart facts and the valid levels are computed on first use and
+    kept in the ``_chart`` and ``_levels`` slots.  They are not fields,
+    so equality, hashing and repr ignore them.
     """
 
+    __slots__ = ("n", "N", "b", "points", "_chart", "_levels")
     n: int
     N: int
     b: int
@@ -91,6 +101,26 @@ class Stratum:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "points", tuple(pts))
 
+    def __reduce__(self):  # as PointLabel.__reduce__; outside input is validated
+        return Stratum, (self.n, self.N, self.b, self.points)
+
+    @classmethod
+    def _canonical(cls, n: int, N: int, b: int, points: tuple, chart=None) -> "Stratum":
+        """Trusted constructor for points the engine holds in canonical form.
+
+        The points must already be reduced mod N, flipped at the top level,
+        sorted by _point_key and stable; nothing is checked.  chart, when
+        given, is the _chart_facts entry of the stratum's chart.
+        """
+        s = object.__new__(cls)
+        object.__setattr__(s, "n", n)
+        object.__setattr__(s, "N", N)
+        object.__setattr__(s, "b", b)
+        object.__setattr__(s, "points", points)
+        if chart is not None:
+            object.__setattr__(s, "_chart", chart)
+        return s
+
     @property
     def tau_sum(self) -> int:
         return sum(p.tau for p in self.points) % self.N
@@ -112,11 +142,30 @@ def chart_of(s: Stratum) -> LineChart:
     invisible to the chart.  The result is canonical because stored
     top-level points are always positive.
     """
+    return _facts(s)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _chart_facts(n: int, vertices: tuple) -> tuple[LineChart, frozenset[int], bool]:
+    """(chart, valid neutral levels, wide) of a vertex tuple, validated once."""
+    chart = LineChart(n, vertices)
+    ys = chart.heights
+    return chart, valid_neutral_levels(chart), min(ys) < max(ys)
+
+
+def _facts(s: Stratum) -> tuple[LineChart, frozenset[int], bool]:
+    """The _chart_facts entry of s, read once and kept in its _chart slot."""
+    try:
+        return s._chart
+    except AttributeError:
+        pass
     verts = []
     for level in range(s.b + 1, 0, -1):
         tail = [p.x for p in s.points if abs(p.x) >= level]
         verts.append((len(tail), sum(1 if x > 0 else -1 for x in tail)))
-    return LineChart(s.n, verts)
+    facts = _chart_facts(s.n, tuple(verts))
+    object.__setattr__(s, "_chart", facts)
+    return facts
 
 
 def _chart_classes(chart: LineChart) -> list[tuple[int, int, int]]:
@@ -188,15 +237,22 @@ def stratum_from_chart(chart: LineChart, tau_assignment, N: int) -> Stratum:
 
 def tau_admissible(s: Stratum, k: int) -> bool:
     """Whether sum(tau_i) + k == 0 (mod N)."""
-    if k not in valid_neutral_levels(chart_of(s)):
-        raise ValueError(f"k={k} is not a valid neutral level of {chart_of(s)}")
+    chart, ks, _ = _facts(s)
+    if k not in ks:
+        raise ValueError(f"k={k} is not a valid neutral level of {chart}")
     return (s.tau_sum + k) % s.N == 0
 
 
 def valid_levels(s: Stratum) -> tuple[int, ...]:
     """Neutral levels of the chart that also satisfy the residue condition."""
+    try:
+        return s._levels
+    except AttributeError:
+        pass
     t = s.tau_sum
-    return tuple(sorted(k for k in valid_neutral_levels(chart_of(s)) if (t + k) % s.N == 0))
+    levels = tuple(sorted(k for k in _facts(s)[1] if (t + k) % s.N == 0))
+    object.__setattr__(s, "_levels", levels)
+    return levels
 
 
 def is_admissible(s: Stratum) -> bool:
@@ -205,12 +261,13 @@ def is_admissible(s: Stratum) -> bool:
 
 def classify_stratum(s: Stratum, k: Optional[int] = None) -> Classification:
     """Narrow or wide; the class depends on the chart alone, not on k."""
+    chart, ks, wide = _facts(s)
     if k is not None:
-        return classify(chart_of(s), k)
-    levels = valid_levels(s)
-    if not levels:
+        if k not in ks:
+            raise ValueError(f"k={k} is not a valid neutral level for {chart}")
+    elif not valid_levels(s):
         raise ValueError("inadmissible stratum has no classification")
-    return classify(chart_of(s), levels[0])
+    return Classification.WIDE if wide else Classification.NARROW
 
 
 def dimension(s: Stratum, delta: int = 2) -> int:
@@ -261,25 +318,58 @@ def smooth(s: Stratum, j: int, mode: str = "hilbert") -> Optional[Stratum]:
     return out
 
 
-def _collapse(x: int, dropped: Sequence[int]) -> int:
-    shift = sum(1 for level in dropped if level <= abs(x))
-    if x > 0:
-        return x - shift
-    if x < 0:
-        return x + shift
-    return 0
+@functools.lru_cache(maxsize=None)
+def _face_masks(verts: tuple, k: int) -> tuple[tuple[int, int], ...]:
+    """(mask, face dimension) of each nonempty vertex subset valid at k.
+
+    Masks come in increasing order, so a valid chart's full mask is last.
+    Strata of one chart share the result.
+    """
+    v = len(verts)
+    out = []
+    for mask in range(1, 1 << v):
+        ys = [verts[i].y for i in range(v) if mask >> i & 1]
+        lo, hi = min(ys), max(ys)
+        if lo < 2 * k < hi:
+            out.append((mask, len(ys) - 2))
+        elif lo == 2 * k == hi:
+            out.append((mask, len(ys) - 1))
+    return tuple(out)
 
 
-def face_items(s: Stratum, k: int | None = None) -> frozenset[tuple[Stratum, int]]:
+def _collapse_face(s: Stratum, verts: tuple, mask: int, k: int) -> tuple[Stratum, int]:
+    """The face of s on the chart vertices in mask, and k in the face's chart.
+
+    Deleting a vertex collapses its level, so every point at or above
+    it moves one step toward zero; residues ride along unchanged up to
+    the canonical top-level flip.
+    """
+    dropped = [s.b + 1 - i for i in range(len(verts)) if not mask >> i & 1]
+    b = s.b - len(dropped)
+    new_level = [lv - sum(1 for d in dropped if d <= lv) for lv in range(s.b + 2)]
+    points = []
+    for p in s.points:
+        lv = new_level[abs(p.x)]
+        if p.x < 0 and lv == b + 1:
+            p = PointLabel((p.tau - 1) % s.N, lv)
+        elif lv != abs(p.x):
+            p = PointLabel(p.tau, lv if p.x > 0 else -lv)
+        points.append(p)
+    points.sort(key=_point_key)
+    first = verts[(mask & -mask).bit_length() - 1]
+    return Stratum._canonical(s.n, s.N, b, tuple(points)), k + (first.x - first.y) // 2
+
+
+def face_items(
+    s: Stratum, k: int | None = None, codim: int | None = None
+) -> frozenset[tuple[Stratum, int]]:
     """Proper faces of the cells this stratum spans, with inherited k.
 
     A face arises from a nonempty proper vertex subset of the chart
-    that is still valid at one of the stratum's neutral levels k.
-    Deleting a vertex collapses its level, so every point at or above
-    it moves one step toward zero; residues ride along unchanged up to
-    the canonical top-level flip.  The returned k is expressed in the
-    face's own canonical chart.  Passing k restricts to that single
-    neutral level.
+    that is still valid at one of the stratum's neutral levels k.  The
+    returned k is expressed in the face's own canonical chart.  Passing
+    k restricts to that single neutral level; passing codim keeps only
+    the faces that many dimensions below the cell.
     """
     if k is None:
         ks = valid_levels(s)
@@ -287,24 +377,14 @@ def face_items(s: Stratum, k: int | None = None) -> frozenset[tuple[Stratum, int
         ks = (k,)
     else:
         raise ValueError("k=%d is not a neutral level of this stratum" % k)
-    chart = chart_of(s)
-    verts = chart.vertices
-    v = len(verts)
+    verts = _facts(s)[0].vertices
     items = set()
     for k in ks:
-        for mask in range(1, (1 << v) - 1):
-            kept = [i for i in range(v) if mask >> i & 1]
-            ys = [verts[i].y for i in kept]
-            lo, hi = min(ys), max(ys)
-            if not (lo < 2 * k < hi or lo == 2 * k == hi):
-                continue
-            dropped = [s.b + 1 - i for i in range(v) if not mask >> i & 1]
-            face = Stratum(
-                s.n, s.N, s.b - len(dropped),
-                [PointLabel(p.tau, _collapse(p.x, dropped)) for p in s.points],
-            )
-            first = verts[kept[0]]
-            items.add((face, k + (first.x - first.y) // 2))
+        masks = _face_masks(verts, k)
+        want = None if codim is None else masks[-1][1] - codim
+        for mask, dim in masks[:-1]:
+            if want is None or dim == want:
+                items.add(_collapse_face(s, verts, mask, k))
     return frozenset(items)
 
 
@@ -330,7 +410,7 @@ def specializations(s: Stratum) -> list[Stratum]:
             continue
         if cell_dimension(t) != want:
             continue
-        if any(f == s for f, _ in face_items(t)):
+        if any(f == s for f, _ in face_items(t, codim=1)):
             out.append(t)
     return sorted(out, key=canonical_key)
 
@@ -584,7 +664,7 @@ def _shapes(n: int, b: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...], 
             yield c_top, splits, n - used
 
 
-def _shape_chart(n: int, shape) -> LineChart:
+def _shape_vertices(shape) -> tuple[tuple[int, int], ...]:
     c_top, splits, _ = shape
     x = y = c_top
     verts = [(x, y)]
@@ -592,7 +672,7 @@ def _shape_chart(n: int, shape) -> LineChart:
         x += p + q
         y += p - q
         verts.append((x, y))
-    return LineChart(n, verts)
+    return tuple(verts)
 
 
 def _shape_classes(shape) -> list[tuple[int, int, int]]:
@@ -619,25 +699,27 @@ def iter_strata(
         raise ValueError("need n >= 1 and N >= 1")
     for bb in range(n + 1) if b is None else (b,):
         for shape in _shapes(n, bb):
-            ks = valid_neutral_levels(_shape_chart(n, shape))
+            chart = _chart_facts(n, _shape_vertices(shape))
+            ks = chart[1]
             if admissible_only and not ks:
                 continue
             targets = {(-k) % N for k in ks}
             classes = _shape_classes(shape)
+            # per class: (residue sum, points) for each residue multiset
             pools = [
-                itertools.combinations_with_replacement(range(N), count)
-                for _, _, count in classes
-            ]
-            for combo in itertools.product(*pools):
-                total = sum(itertools.chain.from_iterable(combo))
-                if admissible_only and total % N not in targets:
-                    continue
-                points = [
-                    (t, sign * level)
-                    for (level, sign, _), taus in zip(classes, combo)
-                    for t in taus
+                [
+                    (sum(taus), tuple(PointLabel(t, sign * level) for t in taus))
+                    for taus in itertools.combinations_with_replacement(range(N), count)
                 ]
-                yield Stratum(n, N, bb, points)
+                for level, sign, count in classes
+            ]
+            # classes run from the top level down; canonical points run upward
+            order = sorted(range(len(classes)), key=lambda i: (classes[i][0], -classes[i][1]))
+            for combo in itertools.product(*pools):
+                if admissible_only and sum(t for t, _ in combo) % N not in targets:
+                    continue
+                points = tuple(p for i in order for p in combo[i][1])
+                yield Stratum._canonical(n, N, bb, points, chart)
 
 
 @functools.lru_cache(maxsize=None)

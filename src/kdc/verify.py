@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -524,13 +522,7 @@ def run_suite(
     max_N: Optional[int] = None,
 ) -> Tuple[dict, bool]:
     """Run a suite and return (JSON-ready report, overall pass)."""
-    selected = criteria(suite)
-    threads = max(1, int(os.environ.get("KUMMER_THREADS", "1")))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda e: _run(e, max_n, max_N), selected))
-    else:
-        results = [_run(entry, max_n, max_N) for entry in selected]
+    results = [_run(entry, max_n, max_N) for entry in criteria(suite)]
     ok = all(r.passed for r in results)
     report = {
         "suite": suite,

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +77,16 @@ def test_incidence_is_covering():
         assert cx.by_id[hi].dim == cx.by_id[lo].dim + 1
     for cell in cx.by_dim[2]:
         assert len(cx.down[cell.id]) == 3
+
+
+@pytest.mark.parametrize("rung", ["build.3_2", "build.3_16", "build.4_4"])
+def test_build_matches_golden_export(rung):
+    golden = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+    want = json.loads(golden.read_text())["ladder"][rung]
+    n, N = map(int, rung.split(".")[1].split("_"))
+    cx = dc.build(n, N)
+    assert list(cx.f_vector()) == want["f_vector"]
+    assert hashlib.sha256(dc.export(cx, "json")).hexdigest() == want["json_sha256"]
 
 
 def test_ambiguous_levels_get_suffixed_ids():

@@ -73,10 +73,6 @@ def test_slice_validation():
         pt.slice_lattice(1, 1, -1)
 
 
-def test_slice_alias():
-    assert pt.slice is pt.slice_lattice
-
-
 def test_graded():
     assert pt.simplex(3).is_graded()
     assert pt.slice_lattice(3, 2, 1).is_graded()

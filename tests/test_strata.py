@@ -1,8 +1,19 @@
+import copy
+import hashlib
+import pickle
+
 import pytest
 from hypothesis import given, strategies as hs
 
 from kdc import strata as st
-from kdc.linechart import Classification, parse_chart
+from kdc.linechart import (
+    Classification,
+    LineChart,
+    classify,
+    parse_chart,
+    valid_neutral_levels,
+    validate,
+)
 
 
 def mk(n, N, b, xs, taus=None):
@@ -380,3 +391,98 @@ def test_enumerate_admissible_guards():
         st.enumerate_admissible(1, 1)
     with pytest.raises(ValueError):
         st.enumerate_admissible(3, 0)
+
+
+# ---------------------------------------------------------------------------
+# trusted construction and cached chart facts
+
+
+@pytest.fixture(scope="module")
+def engine_strata():
+    """Every stratum of iter_strata(n, N) for n <= 4, N <= 3, and all their faces."""
+    out = []
+    for n in range(1, 5):
+        for N in range(1, 4):
+            for s in st.iter_strata(n, N):
+                out.append(s)
+                out.extend(f for f, _ in st.face_items(s))
+    return out
+
+
+def test_trusted_construction_matches_validated(engine_strata):
+    for s in engine_strata:
+        again = st.Stratum(s.n, s.N, s.b, [(p.tau, p.x) for p in s.points])
+        assert again == s and again.points == s.points
+
+
+def test_copy_and_pickle_round_trip():
+    s = next(st.iter_strata(3, 2, b=3, admissible_only=True))
+    st.valid_levels(s)
+    for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert t == s and t.points == s.points
+        assert st.valid_levels(t) == st.valid_levels(s)
+
+
+def test_cached_chart_facts_match_recomputation(engine_strata):
+    for s in dict.fromkeys(engine_strata):
+        verts = []
+        for level in range(s.b + 1, 0, -1):
+            tail = [p.x for p in s.points if abs(p.x) >= level]
+            verts.append((len(tail), sum(1 if x > 0 else -1 for x in tail)))
+        chart = LineChart(s.n, verts)
+        assert validate(chart).ok
+        levels = tuple(sorted(
+            k for k in valid_neutral_levels(chart)
+            if (sum(p.tau for p in s.points) + k) % s.N == 0
+        ))
+        fresh = st.Stratum(s.n, s.N, s.b, s.points)
+        for t in (s, fresh):
+            assert st.chart_of(t) == chart
+            assert st.valid_levels(t) == levels
+            if levels:
+                wide = classify(chart, levels[0]) is Classification.WIDE
+                assert st.cell_dimension(t) == (s.b - 1 if wide else s.b)
+            else:
+                with pytest.raises(ValueError):
+                    st.cell_dimension(t)
+
+
+def test_codim_one_face_items_filter_all_faces(engine_strata):
+    for s in dict.fromkeys(engine_strata):
+        for k in st.valid_levels(s):
+            want = {
+                (f, fk) for f, fk in st.face_items(s, k)
+                if st.cell_dimension(f) == st.cell_dimension(s) - 1
+            }
+            assert st.face_items(s, k, codim=1) == want
+
+
+def test_iter_strata_yield_order():
+    assert [st.format_stratum(s) for s in st.iter_strata(2, 1)] == [
+        "X{n=2;N=1;b=0;[(0,0),(0,0)]}",
+        "X{n=2;N=1;b=0;[(0,0),(0,+1)]}",
+        "X{n=2;N=1;b=0;[(0,+1),(0,+1)]}",
+        "X{n=2;N=1;b=1;[(0,0),(0,-1)]}",
+        "X{n=2;N=1;b=1;[(0,0),(0,+1)]}",
+        "X{n=2;N=1;b=1;[(0,-1),(0,-1)]}",
+        "X{n=2;N=1;b=1;[(0,+1),(0,-1)]}",
+        "X{n=2;N=1;b=1;[(0,+1),(0,+1)]}",
+        "X{n=2;N=1;b=1;[(0,-1),(0,+2)]}",
+        "X{n=2;N=1;b=1;[(0,+1),(0,+2)]}",
+        "X{n=2;N=1;b=2;[(0,-1),(0,-2)]}",
+        "X{n=2;N=1;b=2;[(0,+1),(0,-2)]}",
+        "X{n=2;N=1;b=2;[(0,-1),(0,+2)]}",
+        "X{n=2;N=1;b=2;[(0,+1),(0,+2)]}",
+    ]
+    # (count, sha256 of the newline-joined literals in yield order), recorded
+    # when iter_strata built every stratum through the validating constructor
+    recorded = {
+        (3, 2, False): (328, "c93c06ec853d38a9346e1af620208cde26564540aa0103b31db1f13294edfc3a"),
+        (3, 2, True): (61, "85e19183d7e2b694c9485ff3c0043d8160e803d77db9960e5df251a105748477"),
+        (4, 2, False): (2062, "c07e4de4c4de8a933473780bc4dff40aae04b9c02e4506aca644a49133bd1f10"),
+        (4, 2, True): (419, "82c78ee900362c39e0bf6f1a10ff59ca972715e2e7f03564f26c7110b8faa077"),
+    }
+    for (n, N, adm), (count, digest) in recorded.items():
+        literals = [st.format_stratum(s) for s in st.iter_strata(n, N, admissible_only=adm)]
+        assert len(literals) == count
+        assert hashlib.sha256("\n".join(literals).encode()).hexdigest() == digest
