@@ -19,6 +19,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import polytope
@@ -95,6 +97,11 @@ class DualComplex:
         for lo, hi in sorted(self.incidence):
             out[hi].append(lo)
         return {i: tuple(v) for i, v in out.items()}
+
+    @cached_property
+    def _derived(self) -> dict:
+        """Results computed once per complex: the disk report, layouts."""
+        return {}
 
     def f_vector(self) -> Tuple[int, ...]:
         top = max((c.dim for c in self.cells), default=-1)
@@ -285,11 +292,36 @@ class DiskReport:
         ]
         return "\n".join(lines)
 
+    def failures(self) -> List[str]:
+        """The disk axioms this complex fails, in summary order."""
+        checks = (
+            ("connected", self.connected),
+            ("pure 2-dim", self.pure),
+            ("edge degrees 1|2", self.edge_degrees_ok),
+            ("vertex links", self.vertex_links_ok),
+            ("boundary cycle", self.boundary_ok),
+            ("euler %d != 1" % self.euler, self.euler == 1),
+        )
+        return [name for name, ok in checks if not ok]
+
 
 def verify_disk(cx: DualComplex) -> DiskReport:
-    """Check connectivity, purity, link and boundary conditions, and Euler."""
+    """Check connectivity, purity, link and boundary conditions, and Euler.
+
+    The report is computed once per complex and kept on it.
+    """
     if cx.n != 3:
-        raise ValueError("disk verification applies to n = 3 complexes")
+        raise ValueError(
+            "disk verification applies to n = 3 complexes, got (n, N) = (%d, %d)"
+            % (cx.n, cx.N)
+        )
+    report = cx._derived.get("disk")
+    if report is None:
+        report = cx._derived["disk"] = _check_disk(cx)
+    return report
+
+
+def _check_disk(cx: DualComplex) -> DiskReport:
     vertices = [c.id for c in cx.by_dim.get(0, ())]
     edges = [c.id for c in cx.by_dim.get(1, ())]
     tris = [c.id for c in cx.by_dim.get(2, ())]
@@ -583,35 +615,59 @@ def _permutation_order(perm: Dict[str, str]) -> int:
 
 
 def _layout(cx: DualComplex, seed: int) -> Dict[str, Tuple[float, float]]:
-    """Boundary on the unit circle, interior by averaging to a fixed point."""
+    """Vertex positions of an n = 3 disk, computed once per complex and seed."""
+    pos = cx._derived.get(("layout", seed))
+    if pos is None:
+        pos = cx._derived[("layout", seed)] = _tutte_layout(cx, seed)
+    return pos
+
+
+def _tutte_layout(cx: DualComplex, seed: int) -> Dict[str, Tuple[float, float]]:
+    """Boundary on the unit circle, interior by averaging to a fixed point.
+
+    Gauss-Seidel sweeps over the interior vertices in id order, each set to
+    the mean of its neighbours (summed in id order), until no coordinate
+    moves by 1e-9.
+    """
     report = verify_disk(cx)
     if not report.ok:
-        raise ValueError("layout needs a verified combinatorial disk")
-    cycle = report.boundary_cycle
-    m = len(cycle)
-    pos: Dict[str, Tuple[float, float]] = {}
-    for i, vid in enumerate(cycle):
-        angle = 2.0 * math.pi * (i + seed) / m
-        pos[vid] = (math.cos(angle), math.sin(angle))
-    neighbors: Dict[str, set] = {c.id: set() for c in cx.by_dim.get(0, ())}
+        raise ValueError(
+            "layout needs a verified combinatorial disk; the complex at "
+            "(n, N) = (%d, %d) failed: %s" % (cx.n, cx.N, ", ".join(report.failures()))
+        )
+    vids = sorted(c.id for c in cx.by_dim.get(0, ()))
+    index = {v: i for i, v in enumerate(vids)}
+    px = [0.0] * len(vids)
+    py = [0.0] * len(vids)
+    cycle = [index[v] for v in report.boundary_cycle]
+    for i, j in enumerate(cycle):
+        angle = 2.0 * math.pi * (i + seed) / len(cycle)
+        px[j], py[j] = math.cos(angle), math.sin(angle)
+    neighbors: List[set] = [set() for _ in vids]
     for e in cx.by_dim.get(1, ()):
-        a, b = cx.down[e.id]
+        a, b = (index[v] for v in cx.down[e.id])
         neighbors[a].add(b)
         neighbors[b].add(a)
-    interior = sorted(v for v in neighbors if v not in pos)
-    for v in interior:
-        pos[v] = (0.0, 0.0)
+    on_cycle = set(cycle)
+    sweep = []
+    for i, nbrs in enumerate(neighbors):
+        if i not in on_cycle:
+            nbrs = sorted(nbrs)
+            # itemgetter of one index returns the item, not a 1-tuple
+            get = itemgetter(*nbrs) if len(nbrs) > 1 else (lambda a, j=nbrs[0]: (a[j],))
+            sweep.append((i, get, len(nbrs)))
     for _ in range(100000):
-        worst = 0.0
-        for v in interior:
-            xs = [pos[u][0] for u in neighbors[v]]
-            ys = [pos[u][1] for u in neighbors[v]]
-            nx, ny = sum(xs) / len(xs), sum(ys) / len(ys)
-            worst = max(worst, abs(nx - pos[v][0]), abs(ny - pos[v][1]))
-            pos[v] = (nx, ny)
-        if worst < 1e-9:
+        moved = False
+        for i, get, degree in sweep:
+            nx = sum(get(px)) / degree
+            ny = sum(get(py)) / degree
+            if not moved and (abs(nx - px[i]) >= 1e-9 or abs(ny - py[i]) >= 1e-9):
+                moved = True
+            px[i] = nx
+            py[i] = ny
+        if not moved:
             break
-    return pos
+    return {v: (px[i], py[i]) for i, v in enumerate(vids)}
 
 
 def to_json_dict(cx: DualComplex) -> dict:
@@ -635,8 +691,42 @@ def to_json_dict(cx: DualComplex) -> dict:
     }
 
 
+def _json_list(items: List[str], indent: str) -> str:
+    """A JSON array of pre-indented items, laid out as ``json.dumps(indent=2)``."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
 def _export_json(cx: DualComplex) -> bytes:
-    return (json.dumps(to_json_dict(cx), indent=2) + "\n").encode("ascii")
+    """``json.dumps(to_json_dict(cx), indent=2) + "\n"``, written directly.
+
+    The indenting encoder of the json module runs in pure Python; this
+    writes the fixed kdc-1 layout with the C string escaper instead.
+    """
+    cells = []
+    for c in sorted(cx.cells, key=lambda c: c.id):
+        points = _json_list(
+            ['        {\n          "tau": %d,\n          "x": %d\n        }'
+             % (p.tau, p.x) for p in c.stratum.points],
+            "      ",
+        )
+        cells.append(
+            '    {\n      "id": %s,\n      "dim": %d,\n      "class": %s,\n'
+            '      "b": %d,\n      "points": %s\n    }'
+            % (_json_str(c.id), c.dim, _json_str(str(c.cls)), c.b, points)
+        )
+    incidence = [
+        "    [\n      %s,\n      %s\n    ]" % (_json_str(lo), _json_str(hi))
+        for lo, hi in sorted(cx.incidence)
+    ]
+    text = (
+        '{\n  "version": %s,\n  "n": %d,\n  "N": %d,\n  "cells": %s,\n'
+        '  "incidence": %s\n}\n'
+        % (_json_str(SCHEMA_VERSION), cx.n, cx.N,
+           _json_list(cells, "  "), _json_list(incidence, "  "))
+    )
+    return text.encode("ascii")
 
 
 def _export_dot(cx: DualComplex) -> bytes:
@@ -711,7 +801,7 @@ def parse_complex(data) -> DualComplex:
         raise ValueError("unsupported schema version %r" % data.get("version"))
     n, N = int(data["n"]), int(data["N"])
     cells = []
-    ids = set()
+    dims: Dict[str, int] = {}
     for entry in data["cells"]:
         match = _ID_RE.match(entry["id"])
         if not match:
@@ -734,14 +824,21 @@ def parse_complex(data) -> DualComplex:
         cell = _make_cell(s, k, entry["id"])
         if cell.dim != int(entry["dim"]) or str(cell.cls) != entry["class"]:
             raise ValueError("cell metadata mismatch for %r" % entry["id"])
-        if cell.id in ids:
+        if cell.id in dims:
             raise ValueError("duplicate cell id %r" % cell.id)
-        ids.add(cell.id)
+        dims[cell.id] = cell.dim
         cells.append(cell)
     incidence = set()
     for lo, hi in data["incidence"]:
-        if lo not in ids or hi not in ids:
-            raise ValueError("incidence references unknown cell")
+        if lo not in dims or hi not in dims:
+            raise ValueError("incidence (%r, %r) references an unknown cell" % (lo, hi))
+        if lo == hi:
+            raise ValueError("self-incidence (%r, %r)" % (lo, hi))
+        if dims[hi] - dims[lo] != 1:
+            raise ValueError(
+                "incidence (%r, %r) joins dims %d and %d, not d and d + 1"
+                % (lo, hi, dims[lo], dims[hi])
+            )
         incidence.add((lo, hi))
     cells.sort(key=lambda c: c.id)
     return DualComplex(n, N, tuple(cells), frozenset(incidence))

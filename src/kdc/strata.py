@@ -510,18 +510,24 @@ def _counts_nb(m, N: Optional[int], b: Optional[int]) -> tuple[tuple[int, ...], 
     return tuple(int(v) for v in m), int(N), int(b)
 
 
-def W_plus(m, r, N: Optional[int] = None, b: Optional[int] = None) -> int:
-    """Sum of m[2*tau*(b+1) + k] * (2*tau*rsum + rho_k) over tau and k = 0..b.
-
-    m must be in the all-ones indexing of length 2N(b+1); r supplies the
-    weights rho_k = r_1 + ... + r_k.
-    """
+def _weight_args(m, r, N: Optional[int], b: Optional[int]):
+    """Checked (counts, N, b, r) for W_plus and W_minus."""
     counts, N, b = _counts_nb(m, N, b)
     r = r if isinstance(r, ExpansionTuple) else ExpansionTuple(r)
     if len(counts) != 2 * N * (b + 1):
         raise ValueError("counts must use the all-ones indexing of length 2N(b+1)")
     if len(r) != b + 1:
         raise ValueError(f"expansion needs {b + 1} entries, got {len(r)}")
+    return counts, N, b, r
+
+
+def W_plus(m, r, N: Optional[int] = None, b: Optional[int] = None) -> int:
+    """Sum of m[2*tau*(b+1) + k] * (2*tau*rsum + rho_k) over tau and k = 0..b.
+
+    m must be in the all-ones indexing of length 2N(b+1); r supplies the
+    weights rho_k = r_1 + ... + r_k.
+    """
+    counts, N, b, r = _weight_args(m, r, N, b)
     rsum = r.rsum
     rho = tuple(itertools.accumulate(r, initial=0))
     size = 2 * N * (b + 1)
@@ -534,12 +540,7 @@ def W_plus(m, r, N: Optional[int] = None, b: Optional[int] = None) -> int:
 
 def W_minus(m, r, N: Optional[int] = None, b: Optional[int] = None) -> int:
     """Sum of m[2*tau*(b+1) - k] * (2*tau*rsum - rho_k) over tau and k = 1..b+1."""
-    counts, N, b = _counts_nb(m, N, b)
-    r = r if isinstance(r, ExpansionTuple) else ExpansionTuple(r)
-    if len(counts) != 2 * N * (b + 1):
-        raise ValueError("counts must use the all-ones indexing of length 2N(b+1)")
-    if len(r) != b + 1:
-        raise ValueError(f"expansion needs {b + 1} entries, got {len(r)}")
+    counts, N, b, r = _weight_args(m, r, N, b)
     rsum = r.rsum
     rho = tuple(itertools.accumulate(r, initial=0))
     size = 2 * N * (b + 1)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -225,7 +226,7 @@ def test_removing_a_triangle_breaks_the_disk():
 
 
 def test_verify_disk_needs_n3():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(n, N\) = \(2, 2\)"):
         dc.verify_disk(dc.build(2, 2))
 
 
@@ -321,6 +322,31 @@ def test_json_round_trip():
         assert again == cx
 
 
+@pytest.mark.parametrize("n, N", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1)])
+def test_json_writer_matches_indented_dumps(n, N):
+    cx = dc.build(n, N)
+    blob = dc.export(cx, "json")
+    assert blob == (json.dumps(dc.to_json_dict(cx), indent=2) + "\n").encode("ascii")
+    assert dc.parse_complex(blob) == cx
+
+
+def test_json_writer_empty_lists():
+    cx = dc.DualComplex(3, 1, (), frozenset())
+    blob = dc.export(cx, "json")
+    assert blob == (json.dumps(dc.to_json_dict(cx), indent=2) + "\n").encode("ascii")
+    assert b'"cells": []' in blob and b'"incidence": []' in blob
+
+
+def test_disk_report_is_computed_once_per_complex():
+    cx = dc.build(3, 2)
+    report = dc.verify_disk(cx)
+    assert dc.verify_disk(cx) is report
+    again = dc.parse_complex(dc.export(cx, "json"))
+    assert again == cx
+    assert dc.verify_disk(again) is not report
+    assert dc.verify_disk(again) == report
+
+
 def test_json_shape():
     data = json.loads(dc.export(dc.build(3, 1), "json"))
     assert data["version"] == "kdc-1"
@@ -361,13 +387,115 @@ def test_layout_exports_are_deterministic():
     assert dc.export(cx, "off", layout_seed=1) != dc.export(cx, "off", layout_seed=2)
 
 
+# sha256 of export(build(3, N), fmt, layout_seed=seed, labels=labels),
+# recorded before the layout moved to index arrays
+GEOMETRY_SHA256 = {
+    ("off", 1, 0, False): "22831b52bc9376b9fa2ef912f6869c7c88e82a11793e5e0a23472ab9e0e0cb4d",
+    ("off", 1, 1, False): "ebe6ce5a4319cf54d131ea67b1f2189abc6a9ccf0eec14937127c884e776adf5",
+    ("off", 1, 3, False): "9b4a166165fd121cf889a8263a840da4901680f7d20a6a2cf38cd8df4fdff0cb",
+    ("off", 1, 7, False): "ebe6ce5a4319cf54d131ea67b1f2189abc6a9ccf0eec14937127c884e776adf5",
+    ("off", 2, 0, False): "afec9032187465f63bdebd394c194ce231615cac9a7f9d6168da861b55840006",
+    ("off", 2, 1, False): "8c5f2e36df3c8c22dcd3793f46f6fa67877f4d053c2df9dae27596595e8d8a6a",
+    ("off", 2, 3, False): "2c9c367b4680bafe787d63e172cfd072b0f87bd820d1fac019d442f13ee76f29",
+    ("off", 2, 7, False): "bae9f4fbb2da3274237e999b9da3f1245a5131a868b8bb8a569de8a3cb579519",
+    ("off", 3, 0, False): "ce651564bb0f920e087aa5dbceebf816bec344ac6bff4e9a3eabbe59f35b338c",
+    ("off", 3, 1, False): "c314bf1c3c97e2cef5beebb1b159cd84394b0205e57918f602941c709a75a850",
+    ("off", 3, 3, False): "9cdd081c803159f25919b5f255c785af1d8b6676346c2bd0afc683c35343784d",
+    ("off", 3, 7, False): "acb9499bee63834359ce255275799593d18ef6646f045bac53d078b9b5fc44c4",
+    ("off", 5, 0, False): "20a96f06dc3be07ac9d6f8014e041c994a89187e5e118f7080e3b2b521b7f0e3",
+    ("off", 5, 3, False): "9a0822a27ed6af5d35dd423ea6b745e1221e97b71c2c48f1ca52f1dffc57848e",
+    ("off", 8, 0, False): "e5a03b781fbe8d26afb6c84b32d88908cdb8f5bbc20b9f6380bbe73515794ab3",
+    ("off", 8, 3, False): "035a85227a11581363394388408c47b2e49cb20f91e5365787d3affdec801ebb",
+    ("off", 16, 0, False): "35b1906b3f2f324814b1c6275cee7f68d204c08bfc598e74b502a1d8786b918c",
+    ("off", 16, 3, False): "713a4da7e07f521a0ada89badad6fa3deccab2a6ff52c442baae84b48ef335df",
+    ("tikz", 1, 0, False): "f9327c6e4487cf9cf9ad2ac35088c44b838a64ea0d917f93e12c6deb7d6ae11c",
+    ("tikz", 1, 1, False): "e1bf7d19492bc7c3bca9309eef3cfa636e15bd3fd513d2310ef7551cfd701f88",
+    ("tikz", 1, 3, False): "541e3e4fbb9da215fd3c1c484b24b87526598c22a567a337aa404af6f66b2109",
+    ("tikz", 1, 7, False): "e1bf7d19492bc7c3bca9309eef3cfa636e15bd3fd513d2310ef7551cfd701f88",
+    ("tikz", 2, 0, False): "206d96010853990b21a5576a5e9d28ba6dde2519a0cdd66dd88206bf103c78a4",
+    ("tikz", 2, 1, False): "eacffee6409f3ba1146fbf4751a98b99c2c105f292ae69d28ab3a09841e2d30c",
+    ("tikz", 2, 1, True): "b73060d488750c0c928ca04ac9aa8743ec04c486f61daa285ac55617970e8f24",
+    ("tikz", 2, 3, False): "b0b98331840c946756b223d3f01c8b2f796db46f303c04eadf5d51408e91ff0e",
+    ("tikz", 2, 7, False): "ff91361f53775f701bd1665ba76551c49797a12c3689707d85d2c875e30924ed",
+    ("tikz", 3, 0, False): "d8c525f90ae2fc8525198566adf53125967658be9a89ed6de5bab3bf2a37d71a",
+    ("tikz", 3, 1, False): "8f7feb672d5083ae05e0cd651695ed676b5f731fdad64ecced77e0dc6a9c427d",
+    ("tikz", 3, 3, False): "83d8b292f01191d0e85b3e2d8df36d7064f000c9a3d5296e5bccef14325998f2",
+    ("tikz", 3, 7, False): "cf3ff5a7cd8778f03cbca9ee04a22ca2b7dd32fcb748eba1ebc7ae6b7f9cf638",
+    ("tikz", 4, 1, True): "c7f6716f2731292b96b2688af66170e95cb796c9ddaa3d3bf8ec0cf993f46497",
+    ("tikz", 5, 0, False): "520f6e13b2e7ed922d2652d8d2c54577b242c236ce530ad9ddbf4f5cc42ceca3",
+    ("tikz", 5, 3, False): "f7a8060aabc98d2a0043a94399743dc5282ed42f3d01bf11d0692d28905025dc",
+    ("tikz", 8, 0, False): "76fb4bcbe600f1517fc879b68c5bc4c42b7353f21245eceadaf297a831ffbe9f",
+    ("tikz", 8, 3, False): "96b473e8a4fddf9b598eff6a9adbd609b65ec440662860ce92a7ac75a513c47a",
+    ("tikz", 16, 0, False): "0c2f1b1dc467d0d2d84f16abfae304f9f1f69b9b21d6d147648d9cbc7e9be2e5",
+    ("tikz", 16, 3, False): "4b2ab815119a42d0545f634aee948998d3d0aa9c15b6c43fc82e48cdf32d11af",
+}
+
+
+@pytest.mark.parametrize("fmt, N, seed, labels", sorted(GEOMETRY_SHA256))
+def test_geometry_exports_match_recorded_bytes(fmt, N, seed, labels):
+    blob = dc.export(dc.build(3, N), fmt, layout_seed=seed, labels=labels)
+    assert hashlib.sha256(blob).hexdigest() == GEOMETRY_SHA256[(fmt, N, seed, labels)]
+
+
+def _reference_layout(cx, seed):
+    """The dict-of-tuples sweep, neighbours summed in id order."""
+    report = dc.verify_disk(cx)
+    cycle = report.boundary_cycle
+    pos = {}
+    for i, vid in enumerate(cycle):
+        angle = 2.0 * math.pi * (i + seed) / len(cycle)
+        pos[vid] = (math.cos(angle), math.sin(angle))
+    neighbors = {c.id: set() for c in cx.by_dim[0]}
+    for e in cx.by_dim[1]:
+        a, b = cx.down[e.id]
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    interior = sorted(v for v in neighbors if v not in pos)
+    for v in interior:
+        pos[v] = (0.0, 0.0)
+    for _ in range(100000):
+        worst = 0.0
+        for v in interior:
+            xs = [pos[u][0] for u in sorted(neighbors[v])]
+            ys = [pos[u][1] for u in sorted(neighbors[v])]
+            nx, ny = sum(xs) / len(xs), sum(ys) / len(ys)
+            worst = max(worst, abs(nx - pos[v][0]), abs(ny - pos[v][1]))
+            pos[v] = (nx, ny)
+        if worst < 1e-9:
+            break
+    return pos
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 6])
+def test_layout_matches_reference_sweep(N):
+    cx = dc.build(3, N)
+    for seed in (0, 2):
+        assert dc._layout(cx, seed) == _reference_layout(cx, seed)
+
+
+def test_layout_is_computed_once_per_seed():
+    cx = dc.build(3, 2)
+    assert dc._layout(cx, 5) is dc._layout(cx, 5)
+    assert dc._layout(cx, 5) != dc._layout(cx, 6)
+
+
 def test_geometry_needs_a_disk():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"n = 3 complexes, got \(n, N\) = \(2, 2\)"):
         dc.export(dc.build(2, 2), "off")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(n, N\) = \(4, 1\)"):
         dc.export(dc.build(4, 1), "tikz")
     with pytest.raises(ValueError):
         dc.export(dc.build(3, 1), "svg")
+    cx = dc.build(3, 1)
+    victim = cx.by_dim[2][0].id
+    broken = dc.DualComplex(
+        3, 1,
+        tuple(c for c in cx.cells if c.id != victim),
+        frozenset(p for p in cx.incidence if victim not in p),
+    )
+    with pytest.raises(ValueError, match=r"verified combinatorial disk.*\(n, N\) = "
+                       r"\(3, 1\) failed: .*euler 0 != 1"):
+        dc.export(broken, "off")
 
 
 def test_parse_rejects_bad_version():
@@ -388,6 +516,28 @@ def test_parse_rejects_unknown_incidence():
     data = json.loads(dc.export(dc.build(3, 1), "json"))
     data["incidence"].append(["X{n=3;N=1;b=9;[]}", data["cells"][0]["id"]])
     with pytest.raises(ValueError, match="incidence"):
+        dc.parse_complex(data)
+
+
+def test_parse_rejects_self_incidence():
+    data = json.loads(dc.export(dc.build(3, 1), "json"))
+    cid = data["cells"][0]["id"]
+    data["incidence"].append([cid, cid])
+    with pytest.raises(ValueError, match="self-incidence") as err:
+        dc.parse_complex(data)
+    assert cid in str(err.value)
+
+
+def test_parse_rejects_incidence_across_two_dims():
+    cx = dc.build(3, 1)
+    data = json.loads(dc.export(cx, "json"))
+    vertex, triangle = cx.by_dim[0][0].id, cx.by_dim[2][0].id
+    data["incidence"].append([vertex, triangle])
+    with pytest.raises(ValueError, match="joins dims 0 and 2") as err:
+        dc.parse_complex(data)
+    assert vertex in str(err.value) and triangle in str(err.value)
+    data["incidence"][-1] = [triangle, cx.by_dim[1][0].id]
+    with pytest.raises(ValueError, match="joins dims 2 and 1"):
         dc.parse_complex(data)
 
 
