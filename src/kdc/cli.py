@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import dualcomplex as dc
@@ -20,22 +19,6 @@ from . import linechart as lc
 from . import strata as st
 from . import verify
 from .errors import InvariantError
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: Optional[int] = None
-    N: Optional[int] = None
-    delta: int = 2
-    fmt: Optional[str] = None
-    out: Optional[str] = None
-    seed: int = 0
-    suite: str = "all"
-    max_n: Optional[int] = None
-    max_N: Optional[int] = None
-    quiet: bool = False
-    literal: Optional[str] = None
 
 
 def _positive(text: str) -> int:
@@ -88,15 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("n", "N", "delta", "fmt", "out", "seed", "suite",
-                 "max_n", "max_N", "quiet", "literal"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
 def _emit(text: str, out: Optional[str]):
     if out:
         with open(out, "w", encoding="ascii") as handle:
@@ -105,11 +79,11 @@ def _emit(text: str, out: Optional[str]):
         sys.stdout.write(text)
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    if cfg.n < 2:
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.n < 2:
         print("enumerate needs --n at least 2", file=sys.stderr)
         return 2
-    groups = st.enumerate_admissible(cfg.n, cfg.N)
+    groups = st.enumerate_admissible(args.n, args.N)
     rows = []
     for dim in sorted(groups, reverse=True):
         for s in groups[dim]:
@@ -119,30 +93,30 @@ def cmd_enumerate(cfg: RunConfig) -> int:
                     s.b,
                     str(st.classify_stratum(s)),
                     st.cell_dimension(s),
-                    st.quotient_dimension(s, delta=cfg.delta),
+                    st.quotient_dimension(s, delta=args.delta),
                     lc.format_chart(st.chart_of(s)),
                 )
             )
     summary = " ".join(
         "%d:%d" % (dim, len(groups[dim])) for dim in sorted(groups, reverse=True)
     )
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(("id", "b", "class", "dim", "qdim", "chart"))
         writer.writerows(rows)
-        _emit(buffer.getvalue(), cfg.out)
+        _emit(buffer.getvalue(), args.out)
         return 0
     lines = []
-    if not cfg.quiet:
+    if not args.quiet:
         lines.extend("\t".join(str(field) for field in row) for row in rows)
     lines.append(summary)
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def cmd_chart(cfg: RunConfig) -> int:
-    chart = lc.parse_chart(cfg.literal)
+def cmd_chart(args: argparse.Namespace) -> int:
+    chart = lc.parse_chart(args.literal)
     report = lc.validate(chart)
     print("chart: %s" % lc.format_chart(chart))
     if not report:
@@ -158,42 +132,41 @@ def cmd_chart(cfg: RunConfig) -> int:
     for k in levels:
         print("class at k=%d: %s" % (k, lc.classify(canonical, k)))
     print("admissible: %s" % ("yes" if levels else "no"))
-    count = len(lc.subcharts(canonical, admissible_only=True))
-    print("admissible subcharts: %d" % count)
+    print("admissible subcharts: %d" % lc.count_admissible_subcharts(canonical))
     return 0
 
 
-def cmd_dual(cfg: RunConfig) -> int:
-    if cfg.n < 2:
+def cmd_dual(args: argparse.Namespace) -> int:
+    if args.n < 2:
         print("dual needs --n at least 2", file=sys.stderr)
         return 2
     # geometry formats only apply to n = 3; refuse before building
-    if cfg.fmt in ("off", "tikz") and cfg.n != 3:
-        print("error: %s output needs an n = 3 complex" % cfg.fmt, file=sys.stderr)
+    if args.fmt in ("off", "tikz") and args.n != 3:
+        print("error: %s output needs an n = 3 complex" % args.fmt, file=sys.stderr)
         return 2
-    cx = dc.build(cfg.n, cfg.N)
-    blob = dc.export(cx, cfg.fmt, layout_seed=cfg.seed)
-    if cfg.out:
-        with open(cfg.out, "wb") as handle:
+    cx = dc.build(args.n, args.N)
+    blob = dc.export(cx, args.fmt, layout_seed=args.seed)
+    if args.out:
+        with open(args.out, "wb") as handle:
             handle.write(blob)
     else:
         sys.stdout.buffer.write(blob)
         sys.stdout.buffer.flush()
-    if cfg.n == 3 and not cfg.quiet:
+    if args.n == 3 and not args.quiet:
         print(dc.verify_disk(cx).summary(), file=sys.stderr)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report, ok = verify.run_suite(cfg.suite, max_n=cfg.max_n, max_N=cfg.max_N)
-    if not cfg.quiet:
+def cmd_verify(args: argparse.Namespace) -> int:
+    report, ok = verify.run_suite(args.suite, max_n=args.max_n, max_N=args.max_N)
+    if not args.quiet:
         for entry in report["criteria"]:
             print(
                 "%-4s %2d %s (%.3fs)"
                 % (entry["status"], entry["id"], entry["name"], entry["seconds"]),
                 file=sys.stderr,
             )
-    _emit(json.dumps(report, indent=2) + "\n", cfg.out)
+    _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0 if ok else 1
 
 
@@ -208,9 +181,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _config(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except InvariantError as breach:
         print("invariant breached: %s" % breach, file=sys.stderr)
         return 3

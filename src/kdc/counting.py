@@ -7,12 +7,10 @@ compare them against raw enumeration.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from .errors import InvariantError
 
@@ -92,45 +90,3 @@ def n3_counts(N: int, verify: bool = False) -> Tuple[int, int, int]:
                 % ((faces, edges, vertices), found, N)
             )
     return faces, edges, vertices
-
-
-@dataclass
-class CountTable:
-    """Rows of (quantity, n, N, value) with a CSV emitter.
-
-    n or N may be None when the quantity does not depend on them; the
-    CSV cell is left empty in that case.
-    """
-
-    rows: List[Tuple[str, Optional[int], Optional[int], int]] = field(
-        default_factory=list
-    )
-
-    def add(self, quantity: str, n: Optional[int], N: Optional[int], value: int):
-        self.rows.append((quantity, n, N, int(value)))
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("quantity,n,N,value\n")
-        for quantity, n, N, value in self.rows:
-            out.write(
-                "%s,%s,%s,%d\n"
-                % (quantity, "" if n is None else n, "" if N is None else N, value)
-            )
-        return out.getvalue()
-
-
-def standard_table(max_n: int = 6, max_N: int = 4) -> CountTable:
-    """Table of the named quantities over small ranges."""
-    table = CountTable()
-    for n in range(1, max_n + 1):
-        table.add("deepest_cells_N1", n, 1, a(n))
-        table.add("nonnegative_charts", n, None, ballot(n))
-    for N in range(1, max_N + 1):
-        faces, edges, vertices = n3_counts(N)
-        table.add("n3_faces", 3, N, faces)
-        table.add("n3_edges", 3, N, edges)
-        table.add("n3_vertices", 3, N, vertices)
-        table.add("n3_euler", 3, N, vertices - edges + faces)
-        table.add("triple_sum", 3, N, sum_of_three(N))
-    return table

@@ -13,11 +13,15 @@ the diagonal y = x.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import enum
 import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
+
+from .errors import InvariantError
 
 NeutralLevel = int
 
@@ -169,10 +173,31 @@ def subcharts(chart: LineChart, admissible_only: bool = False) -> list[LineChart
     return out
 
 
-def is_subchart(c1: LineChart, c2: LineChart) -> bool:
-    if c1.n != c2.n:
-        raise ValueError("subchart comparison requires equal n")
-    return set(c1.vertices) <= set(c2.vertices)
+def count_admissible_subcharts(chart: LineChart) -> int:
+    """len(subcharts(chart, admissible_only=True)) without the 2^v walk.
+
+    A subchart's neutral levels depend only on its lowest and highest
+    heights lo <= hi.  Per lo, its 2^c_lo - 1 vertex choices combine with
+    the subsets of the higher vertices that reach above 2k, for k the
+    least shared level with 2k > lo; a narrow subchart sits at an even lo.
+    """
+    ks = valid_neutral_levels(chart)
+    if not ks:
+        return 0
+    kmin, kmax = min(ks), max(ks)
+    ys = sorted(chart.heights)
+    total = 0
+    for lo, count in collections.Counter(ys).items():
+        at_lo = (1 << count) - 1
+        if lo % 2 == 0 and lo // 2 in ks:
+            total += at_lo
+        k = max(kmin, lo // 2 + 1)
+        if k <= kmax:
+            base = bisect.bisect_right(ys, lo)
+            higher = len(ys) - base  # vertices above lo
+            short = bisect.bisect_right(ys, 2 * k) - base  # of those, at most 2k
+            total += at_lo * ((1 << higher) - (1 << short))
+    return total
 
 
 def _complete_charts(n: int) -> list[LineChart]:
@@ -201,7 +226,7 @@ def complete_extensions(chart: LineChart, require_admissible: bool = False) -> l
 
     With require_admissible (needs an admissible chart and n >= 3), keep only
     completions sharing a valid neutral level with the chart; the list is then
-    guaranteed nonempty and this is asserted.
+    guaranteed nonempty, and an empty one raises InvariantError.
     """
     _require_valid(chart)
     if require_admissible:
@@ -218,7 +243,8 @@ def complete_extensions(chart: LineChart, require_admissible: bool = False) -> l
         if require_admissible and not (valid_neutral_levels(comp) & ks):
             continue
         out.append(comp)
-    assert out or not require_admissible, "admissible chart with no admissible completion"
+    if require_admissible and not out:
+        raise InvariantError(f"admissible chart {format_chart(chart)} has no admissible completion")
     return out
 
 

@@ -8,7 +8,11 @@ sum(tau_i) + k == 0 (mod N).  An independent route to the same decision
 goes through the occupancy vector m and the weighted sums W_plus and
 W_minus, which must cancel mod 2*N*sum(r) for some expansion tuple r of
 positive integers.  Both routes live here; the test suite checks they
-agree.
+agree.  The weight route decides existence from the coefficients of the
+weight in r; find_admissible_r with a bound instead runs an exhaustive
+bitset scan over every tuple up to that total, which returns a witness
+of the smallest total (the order among tuples of equal total is
+unspecified).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -503,19 +507,22 @@ def occupancy(s: Stratum) -> OccupancyVector:
 
 
 def _counts_nb(m, N: Optional[int], b: Optional[int]) -> tuple[tuple[int, ...], int, int]:
+    """Checked (counts, N, b) of an occupancy in the all-ones indexing."""
     if isinstance(m, OccupancyVector):
-        return m.counts, (m.N if N is None else N), (m.b if b is None else b)
-    if N is None or b is None:
+        counts, N, b = m.counts, (m.N if N is None else N), (m.b if b is None else b)
+    elif N is None or b is None:
         raise ValueError("N and b are required with a bare count sequence")
-    return tuple(int(v) for v in m), int(N), int(b)
+    else:
+        counts, N, b = tuple(int(v) for v in m), int(N), int(b)
+    if len(counts) != 2 * N * (b + 1):
+        raise ValueError("counts must use the all-ones indexing of length 2N(b+1)")
+    return counts, N, b
 
 
 def _weight_args(m, r, N: Optional[int], b: Optional[int]):
     """Checked (counts, N, b, r) for W_plus and W_minus."""
     counts, N, b = _counts_nb(m, N, b)
     r = r if isinstance(r, ExpansionTuple) else ExpansionTuple(r)
-    if len(counts) != 2 * N * (b + 1):
-        raise ValueError("counts must use the all-ones indexing of length 2N(b+1)")
     if len(r) != b + 1:
         raise ValueError(f"expansion needs {b + 1} entries, got {len(r)}")
     return counts, N, b, r
@@ -551,43 +558,100 @@ def W_minus(m, r, N: Optional[int] = None, b: Optional[int] = None) -> int:
     return total
 
 
-def _weight_coefficients(counts: Sequence[int], N: int, b: int) -> list[int]:
-    """Coefficients A with W_plus + W_minus == sum(A[i-1] * r_i) for every r."""
+# The weight is linear in the tuple: W_plus + W_minus == s2 * rsum +
+# sum(coeff[i] * r[i]).  For a fixed total the reachable values are
+# exactly the sums of (total - parts) draws from the coefficients, so the
+# bounded scan keeps a bitset per draw count and reads every total's
+# residues off it.  That is a complete scan of the finite search space;
+# it just never materializes the tuples.
+
+
+def _scan_coefficients(counts, N: int, b: int) -> tuple[int, list[int]]:
     size = 2 * N * (b + 1)
-    A = [0] * (b + 1)
+    period = b + 1
+    s2 = 0
+    diff = [0] * (b + 2)  # occupied-above minus occupied-below, per level
     for tau in range(N):
+        base = 2 * tau * period
         for k in range(b + 1):
-            c = counts[(2 * tau * (b + 1) + k) % size]
-            if c:
-                for i in range(b + 1):
-                    A[i] += c * (2 * tau + (1 if i < k else 0))
+            c = counts[(base + k) % size]
+            s2 += 2 * tau * c
+            if k >= 1:
+                diff[k] += c
         for k in range(1, b + 2):
-            c = counts[(2 * tau * (b + 1) - k) % size]
-            if c:
-                for i in range(b + 1):
-                    A[i] += c * (2 * tau - (1 if i < k else 0))
-    return A
+            c = counts[(base - k) % size]
+            s2 += 2 * tau * c
+            diff[k] -= c
+    coeff = list(itertools.accumulate(diff[:0:-1]))[::-1]
+    return s2, coeff
 
 
-def r_exists(m, N: Optional[int] = None, b: Optional[int] = None) -> bool:
-    """Decide whether some positive expansion cancels the combined weight.
+def _scan_bound(counts, N: int, b: int, bound: int) -> Optional[tuple[int, ...]]:
+    """Smallest-total expansion tuple whose weight vanishes mod 2 N rsum."""
+    s2, coeff = _scan_coefficients(counts, N, b)
+    parts = b + 1
+    cmin = min(coeff)
+    shifts = sorted({c - cmin for c in coeff})
+    masks = [1]  # masks[m] has bit x set iff x is a sum of m shifted draws
+    for total in range(parts, bound + 1):
+        m = total - parts
+        while len(masks) <= m:
+            prev = masks[-1]
+            grown = 0
+            for v in shifts:
+                grown |= prev << v
+            masks.append(grown)
+        q = 2 * N * total
+        lo = s2 * total + sum(coeff) + cmin * m
+        hi = lo + shifts[-1] * m
+        value = -(-lo // q) * q
+        while value <= hi:
+            if masks[m] >> (value - lo) & 1:
+                return _scan_witness(coeff, shifts, masks, m, value - lo)
+            value += q
+    return None
 
-    With W_plus + W_minus == sum(A_i r_i), the congruence mod 2N*rsum
-    asks for an integer t with sum((A_i - 2Nt) r_i) == 0 over positive
-    r_i, which has a solution iff the shifted coefficients are all zero
-    or take both signs.  Only t between min(A)/2N and max(A)/2N can
-    work, so the scan is finite.
+
+def _scan_witness(coeff, shifts, masks, m: int, x: int) -> tuple[int, ...]:
+    draws = {v: 0 for v in shifts}
+    for step in range(m, 0, -1):
+        for v in shifts:
+            if x >= v and masks[step - 1] >> (x - v) & 1:
+                draws[v] += 1
+                x -= v
+                break
+        else:
+            raise RuntimeError("bitset walk lost its witness")
+    cmin = min(coeff)
+    r = [1] * len(coeff)
+    for v, count in draws.items():
+        if count:
+            r[coeff.index(v + cmin)] += count
+    return tuple(r)
+
+
+def _cancelling_shift(counts, N: int, b: int) -> Optional[list[int]]:
+    """First A - 2Nt, over t, that is all zero or takes both signs.
+
+    A_i = s2 + coeff_i is the coefficient of r_i in W_plus + W_minus, so
+    the congruence mod 2N*rsum asks for an integer t with
+    sum((A_i - 2Nt) r_i) == 0 over positive r_i.  That has a solution iff
+    the shifted coefficients are all zero or take both signs, and only t
+    between min(A)/2N and max(A)/2N can work, so the scan is finite.
     """
-    counts, N, b = _counts_nb(m, N, b)
-    if len(counts) != 2 * N * (b + 1):
-        raise ValueError("counts must use the all-ones indexing of length 2N(b+1)")
-    A = _weight_coefficients(counts, N, b)
+    s2, coeff = _scan_coefficients(counts, N, b)
+    A = [s2 + c for c in coeff]
     step = 2 * N
     for t in range(-((-min(A)) // step), max(A) // step + 1):
         shifted = [a - step * t for a in A]
         if all(v == 0 for v in shifted) or min(shifted) < 0 < max(shifted):
-            return True
-    return False
+            return shifted
+    return None
+
+
+def r_exists(m, N: Optional[int] = None, b: Optional[int] = None) -> bool:
+    """Decide whether some positive expansion cancels the combined weight."""
+    return _cancelling_shift(*_counts_nb(m, N, b)) is not None
 
 
 def find_admissible_r(
@@ -595,24 +659,26 @@ def find_admissible_r(
 ) -> Optional[ExpansionTuple]:
     """Produce a witness expansion, or None when none exists.
 
-    Without a bound the witness comes from the constructive argument
-    behind r_exists and is verified through W_plus and W_minus before
-    being returned.  With a bound the search is instead exhaustive over
-    positive expansions with rsum <= bound, an independent cross-check
-    that cannot certify nonexistence beyond the bound.
+    Without a bound the witness is built from the shifted coefficients
+    behind r_exists.  With a bound the search is instead the exhaustive
+    bitset scan over positive expansions with rsum <= bound, an
+    independent cross-check that cannot certify nonexistence beyond the
+    bound.  It returns a witness of the smallest total; which of the
+    tuples with that total it returns is unspecified.  Either witness is
+    verified through W_plus and W_minus before being returned.
     """
     counts, N, b = _counts_nb(m, N, b)
-    if len(counts) != 2 * N * (b + 1):
-        raise ValueError("counts must use the all-ones indexing of length 2N(b+1)")
     if bound is not None:
-        return _exhaustive_r(counts, N, b, bound)
-    A = _weight_coefficients(counts, N, b)
-    step = 2 * N
-    for t in range(-((-min(A)) // step), max(A) // step + 1):
-        shifted = [a - step * t for a in A]
-        if all(v == 0 for v in shifted):
-            witness = ExpansionTuple((1,) * (b + 1))
-        elif min(shifted) < 0 < max(shifted):
+        found = _scan_bound(counts, N, b, bound)
+        if found is None:
+            return None
+        witness = ExpansionTuple(found)
+    else:
+        shifted = _cancelling_shift(counts, N, b)
+        if shifted is None:
+            return None
+        witness = [1] * (b + 1)
+        if any(shifted):
             i_pos = max(range(b + 1), key=lambda i: shifted[i])
             i_neg = min(range(b + 1), key=lambda i: shifted[i])
             scale = [1] * (b + 1)
@@ -622,24 +688,11 @@ def find_admissible_r(
             partial = rest + scale[i_neg] * shifted[i_neg]
             witness = [shifted[i_pos] * scale[i] for i in range(b + 1)]
             witness[i_pos] = -partial
-            witness = ExpansionTuple(witness)
-        else:
-            continue
-        combined = W_plus(counts, witness, N, b) + W_minus(counts, witness, N, b)
-        if combined % (2 * N * witness.rsum):
-            raise RuntimeError("constructed witness failed the weight check")
-        return witness
-    return None
-
-
-def _exhaustive_r(counts, N: int, b: int, bound: int) -> Optional[ExpansionTuple]:
-    for rsum in range(b + 1, bound + 1):
-        for cuts in itertools.combinations(range(1, rsum), b):
-            parts = tuple(x - y for x, y in zip(cuts + (rsum,), (0,) + cuts))
-            combined = W_plus(counts, parts, N, b) + W_minus(counts, parts, N, b)
-            if combined % (2 * N * rsum) == 0:
-                return ExpansionTuple(parts)
-    return None
+        witness = ExpansionTuple(witness)
+    combined = W_plus(counts, witness, N, b) + W_minus(counts, witness, N, b)
+    if combined % (2 * N * witness.rsum):
+        raise RuntimeError("witness failed the weight check")
+    return witness
 
 
 # --- enumeration -----------------------------------------------------------

@@ -8,7 +8,6 @@ drift apart.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -54,83 +53,6 @@ def _cap(hi: int, cap: Optional[int]) -> int:
 def _need(cond: bool, message: str):
     if not cond:
         raise CriterionFailure(message)
-
-
-# ---------------------------------------------------------------------------
-# exhaustive oracle used by criterion 9
-
-# The scan must decide whether any positive expansion tuple up to the
-# bound makes the total occupancy weight divisible by 2 N rsum.  The
-# weight is linear in the tuple, so for a fixed total the reachable
-# values are exactly the sums of (total - parts) draws from the
-# component coefficients; a bitset per draw count enumerates them all.
-# That is still a complete scan of the finite search space, it just
-# never materializes the tuples.
-
-
-def _scan_coefficients(counts, N: int, b: int) -> Tuple[int, List[int]]:
-    size = 2 * N * (b + 1)
-    period = b + 1
-    s2 = 0
-    diff = [0] * (b + 2)  # occupied-above minus occupied-below, per level
-    for tau in range(N):
-        base = 2 * tau * period
-        for k in range(b + 1):
-            c = counts[(base + k) % size]
-            s2 += 2 * tau * c
-            if k >= 1:
-                diff[k] += c
-        for k in range(1, b + 2):
-            c = counts[(base - k) % size]
-            s2 += 2 * tau * c
-            diff[k] -= c
-    # weight = s2 * rsum + sum over components of coeff[i] * r[i]
-    coeff = list(itertools.accumulate(diff[:0:-1]))[::-1]
-    return s2, coeff
-
-
-def _scan_bound(counts, N: int, b: int, bound: int) -> Optional[Tuple[int, ...]]:
-    """Smallest-total expansion tuple whose weight vanishes mod 2 N rsum."""
-    s2, coeff = _scan_coefficients(counts, N, b)
-    parts = b + 1
-    cmin = min(coeff)
-    shifts = sorted({c - cmin for c in coeff})
-    masks = [1]  # masks[m] has bit x set iff x is a sum of m shifted draws
-    for total in range(parts, bound + 1):
-        m = total - parts
-        while len(masks) <= m:
-            prev = masks[-1]
-            grown = 0
-            for v in shifts:
-                grown |= prev << v
-            masks.append(grown)
-        q = 2 * N * total
-        lo = s2 * total + sum(coeff) + cmin * m
-        hi = lo + shifts[-1] * m
-        value = -(-lo // q) * q
-        while value <= hi:
-            if masks[m] >> (value - lo) & 1:
-                return _scan_witness(coeff, shifts, masks, m, value - lo)
-            value += q
-    return None
-
-
-def _scan_witness(coeff, shifts, masks, m: int, x: int) -> Tuple[int, ...]:
-    draws = {v: 0 for v in shifts}
-    for step in range(m, 0, -1):
-        for v in shifts:
-            if x >= v and masks[step - 1] >> (x - v) & 1:
-                draws[v] += 1
-                x -= v
-                break
-        else:
-            raise RuntimeError("bitset walk lost its witness")
-    cmin = min(coeff)
-    r = [1] * len(coeff)
-    for v, count in draws.items():
-        if count:
-            r[coeff.index(v + cmin)] += count
-    return tuple(r)
 
 
 # ---------------------------------------------------------------------------
@@ -361,21 +283,20 @@ def _c09(max_n, max_N) -> str:
                         "combinatorial and window oracles disagree on %s"
                         % st.format_stratum(s),
                     )
-                    found = _scan_bound(occ.counts, N, b, bound)
+                    r = st.find_admissible_r(occ, bound=bound)
                     _need(
-                        (found is not None) == direct,
+                        (r is not None) == direct,
                         "bounded scan disagrees on %s" % st.format_stratum(s),
                     )
-                    if found is not None:
+                    if r is not None:
                         _need(
-                            len(found) == b + 1 and min(found) >= 1,
-                            "bad witness shape %r" % (found,),
+                            len(r) == b + 1 and min(r) >= 1,
+                            "bad witness shape %r" % (r.r,),
                         )
-                        r = st.ExpansionTuple(found)
                         total = st.W_plus(occ, r) + st.W_minus(occ, r)
                         _need(
                             total % (2 * N * r.rsum) == 0,
-                            "witness %r fails the weight identity" % (found,),
+                            "witness %r fails the weight identity" % (r.r,),
                         )
                         witnesses += 1
                     checked += 1
@@ -384,7 +305,7 @@ def _c09(max_n, max_N) -> str:
     m_bad = (1, 1, 1, 0, 0, 0)
     m_good = (0, 2, 1, 0, 0, 0)
     _need(not st.r_exists(m_bad, N=1, b=2), "obstructed occupancy admits r")
-    _need(_scan_bound(m_bad, 1, 2, 24) is None, "obstructed occupancy scanned a hit")
+    _need(st.find_admissible_r(m_bad, N=1, b=2, bound=24) is None, "obstructed occupancy scanned a hit")
     _need(st.r_exists(m_good, N=1, b=2), "witnessed occupancy reports obstructed")
     printed = st.ExpansionTuple((3, 1, 1))
     total = st.W_plus(m_good, printed, N=1, b=2) + st.W_minus(m_good, printed, N=1, b=2)

@@ -83,6 +83,14 @@ def test_chart_report(capsys):
     ]
 
 
+def test_chart_counts_a_wide_literal(capsys):
+    # 31 vertices: 2^31 subsets, counted per pair of heights instead
+    literal = "LC{n=30;%s}" % "".join("(%d,%d)" % (i, i) for i in range(31))
+    rc, out, _ = run(capsys, "chart", literal)
+    assert rc == 0
+    assert out.splitlines()[-1] == "admissible subcharts: 2147483570"
+
+
 def test_chart_reports_invalid_without_failing(capsys):
     rc, out, _ = run(capsys, "chart", "LC{n=3;(0,0)(0,0)}")
     assert rc == 0

@@ -68,22 +68,5 @@ def test_n3_euler_characteristic_is_one():
         assert vertices - edges + faces == 1
 
 
-def test_count_table_csv():
-    table = ct.CountTable()
-    table.add("thing", 3, None, 7)
-    table.add("other", None, 2, 9)
-    lines = table.to_csv().splitlines()
-    assert lines == ["quantity,n,N,value", "thing,3,,7", "other,,2,9"]
-
-
-def test_standard_table_shape():
-    table = ct.standard_table(max_n=4, max_N=2)
-    csv = table.to_csv()
-    assert csv.startswith("quantity,n,N,value\n")
-    assert len(table.rows) == 4 * 2 + 2 * 5
-    assert ("deepest_cells_N1", 3, 1, 4) in table.rows
-    assert ("n3_euler", 3, 2, 1) in table.rows
-
-
 def test_invariant_error_is_runtime_error():
     assert issubclass(InvariantError, RuntimeError)

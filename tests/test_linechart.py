@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as hs
 
 from kdc import linechart as lc
+from kdc.errors import InvariantError
 
 
 def chart(*vertices, n=None):
@@ -170,12 +171,12 @@ def test_subchart_count_and_order():
     subs = lc.subcharts(DIAG)
     assert len(subs) == 15
     assert subs[0].vertices == (lc.LatticeVertex(0, 0),)
-    assert all(lc.is_subchart(sub, DIAG) for sub in subs)
+    assert all(set(sub.vertices) <= set(DIAG.vertices) for sub in subs)
 
 
-def test_is_subchart_requires_matching_n():
-    with pytest.raises(ValueError):
-        lc.is_subchart(chart((0, 0)), DIAG)
+def test_admissible_subchart_count_matches_walk():
+    for c in valid_charts():
+        assert lc.count_admissible_subcharts(c) == len(lc.subcharts(c, admissible_only=True))
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +208,16 @@ def test_complete_admissible_counts_small():
 def test_complete_extensions():
     ext = lc.complete_extensions(chart((2, 2), n=3))
     assert all(e.is_complete() for e in ext)
-    assert all(lc.is_subchart(chart((2, 2), n=3), e) for e in ext)
+    assert all(set(chart((2, 2), n=3).vertices) <= set(e.vertices) for e in ext)
     adm = lc.complete_extensions(chart((2, 2), n=3), require_admissible=True)
     assert _supports(adm) <= _supports(ext)
     assert ((0, 0), (1, 1), (2, 2), (3, 3)) in _supports(adm)
+
+
+def test_missing_admissible_completion_is_an_invariant_breach(monkeypatch):
+    monkeypatch.setattr(lc, "_complete_charts", lambda n: [])
+    with pytest.raises(InvariantError, match="no admissible completion"):
+        lc.complete_extensions(chart((2, 2), n=3), require_admissible=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import pickle
 
 import pytest
@@ -335,6 +336,42 @@ def test_bare_counts_need_shape():
         st.r_exists((1, 1, 1, 0, 0, 0))
     with pytest.raises(ValueError):
         st.r_exists((1, 1, 1, 0), N=1, b=2)
+
+
+def _first_cancelling_tuple(m, N, b, limit):
+    """Brute force: a tuple of the smallest total <= limit whose weight cancels."""
+    for rsum in range(b + 1, limit + 1):
+        for cuts in itertools.combinations(range(1, rsum), b):
+            r = tuple(x - y for x, y in zip(cuts + (rsum,), (0,) + cuts))
+            if (st.W_plus(m, r, N, b) + st.W_minus(m, r, N, b)) % (2 * N * rsum) == 0:
+                return r
+    return None
+
+
+def test_weight_coefficients_reproduce_the_weights():
+    for n in range(1, 5):
+        for N in range(1, 4):
+            for s in st.iter_strata(n, N):
+                occ = st.occupancy(s)
+                s2, coeff = st._scan_coefficients(occ.counts, N, s.b)
+                for r in (range(1, s.b + 2), [(3 * i) % 4 + 1 for i in range(s.b + 1)]):
+                    r = tuple(r)
+                    weight = st.W_plus(occ, r) + st.W_minus(occ, r)
+                    assert s2 * sum(r) + sum(c * v for c, v in zip(coeff, r)) == weight
+
+
+def test_bounded_scan_finds_a_smallest_total():
+    occupancies = [st.occupancy(s) for n in range(1, 4) for N in (1, 2) for s in st.iter_strata(n, N)]
+    occupancies.append(st.OccupancyVector(2, 1, (0, 2, 1, 0, 0, 0)))
+    for occ in occupancies:
+        found = st.find_admissible_r(occ, bound=12)
+        assert (found is not None) == st.r_exists(occ)
+        brute = _first_cancelling_tuple(occ.counts, occ.N, occ.b, 12)
+        assert (brute is None) == (found is None)
+        if found is not None:
+            assert len(found) == occ.b + 1
+            assert found.rsum == sum(brute)
+            assert (st.W_plus(occ, found) + st.W_minus(occ, found)) % (2 * occ.N * found.rsum) == 0
 
 
 @given(hs.sampled_from(POOL_32))
