@@ -118,21 +118,32 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_chart(args: argparse.Namespace) -> int:
     chart = lc.parse_chart(args.literal)
     report = lc.validate(chart)
-    print("chart: %s" % lc.format_chart(chart))
+    lines = ["chart: %s" % lc.format_chart(chart)]
     if not report:
-        print("valid: no (%s)" % report.reason)
-        return 0
-    print("valid: yes")
-    canonical = lc.canonicalize(chart)
-    print("canonical: %s" % lc.format_chart(canonical))
-    levels = sorted(lc.valid_neutral_levels(canonical))
-    print("neutral levels: %s" % (
-        ", ".join("%d" % k for k in levels) if levels else "(none)"
-    ))
-    for k in levels:
-        print("class at k=%d: %s" % (k, lc.classify(canonical, k)))
-    print("admissible: %s" % ("yes" if levels else "no"))
-    print("admissible subcharts: %d" % lc.count_admissible_subcharts(canonical))
+        lines.append("valid: no (%s)" % report.reason)
+    else:
+        canonical = lc.canonicalize(chart)
+        levels = sorted(lc.valid_neutral_levels(canonical))
+        lines.append("valid: yes")
+        lines.append("canonical: %s" % lc.format_chart(canonical))
+        lines.append("neutral levels: %s" % (
+            ", ".join("%d" % k for k in levels) if levels else "(none)"
+        ))
+        if levels:
+            # the class depends on the chart alone, not on the level
+            cls = lc.classify(canonical, levels[0])
+            lines.extend("class at k=%d: %s" % (k, cls) for k in levels)
+        lines.append("admissible: %s" % ("yes" if levels else "no"))
+        count = lc.count_admissible_subcharts(canonical)
+        try:
+            lines.append("admissible subcharts: %d" % count)
+        except ValueError:
+            raise ValueError(
+                "the admissible-subchart count of this %d-vertex chart has more "
+                "than %d digits and cannot be printed"
+                % (len(chart.vertices), sys.get_int_max_str_digits())
+            ) from None
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

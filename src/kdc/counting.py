@@ -68,25 +68,8 @@ def sum_of_three(N: int) -> int:
     return total
 
 
-def n3_counts(N: int, verify: bool = False) -> Tuple[int, int, int]:
-    """(faces, edges, vertices) of the n=3 complex by closed form.
-
-    With verify=True the formulas are checked against full enumeration;
-    a mismatch raises InvariantError.
-    """
+def n3_counts(N: int) -> Tuple[int, int, int]:
+    """(faces, edges, vertices) of the n=3 complex by closed form."""
     if N < 1:
         raise ValueError("N must be positive")
-    faces = 4 * N * N
-    edges = 6 * N * N + 3 * N
-    vertices = 2 * N * N + 3 * N + 1
-    if verify:
-        from . import strata
-
-        groups = strata.enumerate_admissible(3, N)
-        found = tuple(len(groups.get(d, ())) for d in (2, 1, 0))
-        if found != (faces, edges, vertices):
-            raise InvariantError(
-                "n=3 closed forms %r disagree with enumeration %r at N=%d"
-                % ((faces, edges, vertices), found, N)
-            )
-    return faces, edges, vertices
+    return 4 * N * N, 6 * N * N + 3 * N, 2 * N * N + 3 * N + 1

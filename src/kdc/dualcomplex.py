@@ -78,6 +78,14 @@ class DualComplex:
         return {c.id: c for c in self.cells}
 
     @cached_property
+    def by_stratum(self) -> Dict[st.Stratum, Tuple[Cell, ...]]:
+        """The cells each stratum spans, one per neutral level, in id order."""
+        out: Dict[st.Stratum, List[Cell]] = {}
+        for c in self.cells:
+            out.setdefault(c.stratum, []).append(c)
+        return {s: tuple(cs) for s, cs in out.items()}
+
+    @cached_property
     def by_dim(self) -> Dict[int, Tuple[Cell, ...]]:
         out: Dict[int, List[Cell]] = {}
         for c in self.cells:
@@ -112,6 +120,20 @@ class DualComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * f for d, f in enumerate(self.f_vector()))
+
+    def is_connected(self) -> bool:
+        """Whether the incidence graph joins all cells; an empty complex is."""
+        if not self.cells:
+            return True
+        seen = {self.cells[0].id}
+        queue = [self.cells[0].id]
+        while queue:
+            here = queue.pop()
+            for nb in self.up[here] + self.down[here]:
+                if nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
+        return len(seen) == len(self.cells)
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,15 +268,16 @@ def local_chart(v: st.Stratum) -> StarReport:
     if not st.is_admissible(v) or st.cell_dimension(v) != 0:
         raise ValueError("not an admissible vertex stratum")
     cx = build(3, v.N)
-    cid = st.format_stratum(v)
-    if cid not in cx.by_id:
+    cells = cx.by_stratum.get(v)
+    if not cells:
         raise InvariantError("vertex missing from its own complex")
-    tris = sorted({t for e in cx.up[cid] for t in cx.up[e]})
+    center = cells[0]  # n = 3 strata span one cell each
+    tris = sorted({t for e in cx.up[center.id] for t in cx.up[e]})
     edges = sorted({e for t in tris for e in cx.down[t]})
     vertices = sorted({u for e in edges for u in cx.down[e]})
     boundary = tuple(e for e in edges if len(cx.up[e]) == 1)
     return StarReport(
-        center=cx.by_id[cid],
+        center=center,
         triangles=tuple(tris),
         edges=tuple(edges),
         vertices=tuple(vertices),
@@ -326,21 +349,7 @@ def _check_disk(cx: DualComplex) -> DiskReport:
     edges = [c.id for c in cx.by_dim.get(1, ())]
     tris = [c.id for c in cx.by_dim.get(2, ())]
 
-    adj: Dict[str, set] = {c.id: set() for c in cx.cells}
-    for lo, hi in cx.incidence:
-        adj[lo].add(hi)
-        adj[hi].add(lo)
-    connected = True
-    if cx.cells:
-        seen = {cx.cells[0].id}
-        queue = [cx.cells[0].id]
-        while queue:
-            for nb in adj[queue.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        connected = len(seen) == len(cx.cells)
-
+    connected = cx.is_connected()
     pure = all(cx.up[e] for e in edges) and all(cx.up[v] for v in vertices)
     edge_degrees_ok = all(len(cx.up[e]) in (1, 2) for e in edges)
 

@@ -403,20 +403,21 @@ def specializations(s: Stratum) -> list[Stratum]:
     Covers in the face order: a wide stratum gains one chart vertex, a
     narrow one gains either one vertex at its neutral height or a pair
     straddling it, in every case with all residue distributions that
-    collapse back to the given points.
+    collapse back to the given points.  They are read off the cover
+    relation of the dual complex at (n, N); the first call at an (n, N)
+    builds that complex, and build keeps it.  For n = 1 every admissible
+    stratum is an isolated point, so the list is empty.
     """
     if not is_admissible(s):
         raise ValueError("inadmissible stratum")
-    want = cell_dimension(s) + 1
-    out = []
-    for t in _admissible_flat(s.n, s.N):
-        if not s.b < t.b <= s.b + 2:
-            continue
-        if cell_dimension(t) != want:
-            continue
-        if any(f == s for f, _ in face_items(t, codim=1)):
-            out.append(t)
-    return sorted(out, key=canonical_key)
+    if s.n < 2:
+        return []
+    # dualcomplex imports this module, so build is imported on first use
+    from .dualcomplex import build
+
+    cx = build(s.n, s.N)
+    ups = {t for c in cx.by_stratum[s] for t in cx.up[c.id]}
+    return sorted({cx.by_id[t].stratum for t in ups}, key=canonical_key)
 
 
 # --- occupancy vectors and the weight obstruction -------------------------

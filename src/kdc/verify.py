@@ -55,6 +55,11 @@ def _need(cond: bool, message: str):
         raise CriterionFailure(message)
 
 
+def _xs(cells) -> set:
+    """The sorted level tuples of some cells' strata."""
+    return {tuple(sorted(p.x for p in c.stratum.points)) for c in cells}
+
+
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -121,9 +126,8 @@ def _c04(max_n, max_N) -> str:
     for N in range(1, _cap(8, max_N) + 1):
         groups = st.enumerate_admissible(3, N)
         found = tuple(len(groups.get(d, ())) for d in (2, 1, 0))
-        want = counting.n3_counts(N, verify=False)
+        want = counting.n3_counts(N)
         _need(found == want, "n=3 N=%d counts %r != %r" % (N, found, want))
-        counting.n3_counts(N, verify=True)
     return "faces/edges/vertices match closed forms for N<=%d" % _cap(8, max_N)
 
 
@@ -226,22 +230,19 @@ def _c08(max_n, max_N) -> str:
     local = dc.delta_K(top)
     _need(local.f_vector() == (5, 8, 5, 1), "f-vector %r" % (local.f_vector(),))
 
-    def xs(cells):
-        return {tuple(sorted(p.x for p in c.stratum.points)) for c in cells}
-
     _need(
-        xs(local.cells_of_dim(0))
+        _xs(local.cells_of_dim(0))
         == {(0, 0, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2), (0, 1, 1, 2), (0, 1, 1, 1)},
         "pyramid vertices are mislabeled",
     )
     _need(
-        xs(local.cells_of_dim(1))
+        _xs(local.cells_of_dim(1))
         == {(1, 1, 2, 2), (1, 2, 2, 2), (0, 1, 1, 2), (0, 1, 2, 3),
             (0, 1, 2, 2), (1, 1, 1, 2), (1, 1, 2, 3), (1, 2, 2, 3)},
         "pyramid edges are mislabeled",
     )
     _need(
-        xs(local.cells_of_dim(2))
+        _xs(local.cells_of_dim(2))
         == {(1, 2, 2, 3), (1, 1, 2, 3), (1, 2, 3, 4), (0, 1, 2, 3), (1, 2, 3, 3)},
         "pyramid 2-faces are mislabeled",
     )
@@ -326,22 +327,19 @@ def _c10(max_n, max_N) -> str:
         "admissible smoothing must drop exactly the first level",
     )
 
-    def xs(cells):
-        return {tuple(sorted(p.x for p in c.stratum.points)) for c in cells}
-
     plus = dc.delta_K(D)
     _need(plus.f_vector() == (3, 3, 1), "triangle f-vector %r" % (plus.f_vector(),))
-    _need(xs(plus.cells_of_dim(0)) == {(0, 1, 1), (1, 1, 1), (1, 1, 2)},
+    _need(_xs(plus.cells_of_dim(0)) == {(0, 1, 1), (1, 1, 1), (1, 1, 2)},
           "triangle vertices mislabeled")
-    _need(xs(plus.cells_of_dim(1)) == {(1, 1, 2), (1, 2, 2), (1, 2, 3)},
+    _need(_xs(plus.cells_of_dim(1)) == {(1, 1, 2), (1, 2, 2), (1, 2, 3)},
           "triangle edges mislabeled")
 
     mirror = st.Stratum(3, 1, 3, [st.PointLabel(0, x) for x in (1, 2, -3)])
     minus = dc.delta_K(mirror)
     _need(minus.f_vector() == (3, 3, 1), "mirror f-vector %r" % (minus.f_vector(),))
-    _need(xs(minus.cells_of_dim(0)) == {(0, 0, 0), (0, 1, 1), (1, 1, 2)},
+    _need(_xs(minus.cells_of_dim(0)) == {(0, 0, 0), (0, 1, 1), (1, 1, 2)},
           "mirror vertices mislabeled")
-    _need(xs(minus.cells_of_dim(1)) == {(-1, 0, 1), (-2, 1, 1), (1, 2, 3)},
+    _need(_xs(minus.cells_of_dim(1)) == {(-1, 0, 1), (-2, 1, 1), (1, 2, 3)},
           "mirror edges mislabeled")
     shared = {c.id for c in plus.cells.values()} & {c.id for c in minus.cells.values()}
     _need(len(shared) == 3, "triangles must share an edge and its ends: %r" % shared)
@@ -366,18 +364,7 @@ def _c11(max_n, max_N) -> str:
             degrees == [1, 1] + [2] * (N - 1),
             "n=2 N=%d degree sequence %r" % (N, degrees),
         )
-        seen = {cx.cells[0].id}
-        queue = [cx.cells[0].id]
-        adj = {c.id: set() for c in cx.cells}
-        for lo, hi_ in cx.incidence:
-            adj[lo].add(hi_)
-            adj[hi_].add(lo)
-        while queue:
-            for nb in adj[queue.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        _need(len(seen) == len(cx.cells), "n=2 N=%d complex is disconnected" % N)
+        _need(cx.is_connected(), "n=2 N=%d complex is disconnected" % N)
     return "path complexes verified for N<=%d" % hi
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from kdc import cli
 from kdc import dualcomplex as dc
+from kdc import linechart as lc
 
 
 def run(capsys, *argv):
@@ -83,12 +84,40 @@ def test_chart_report(capsys):
     ]
 
 
+def diagonal(v):
+    """Literal of the chart with v vertices on the diagonal y = x."""
+    return "LC{n=%d;%s}" % (v - 1, "".join("(%d,%d)" % (i, i) for i in range(v)))
+
+
 def test_chart_counts_a_wide_literal(capsys):
     # 31 vertices: 2^31 subsets, counted per pair of heights instead
-    literal = "LC{n=30;%s}" % "".join("(%d,%d)" % (i, i) for i in range(31))
-    rc, out, _ = run(capsys, "chart", literal)
+    rc, out, _ = run(capsys, "chart", diagonal(31))
     assert rc == 0
     assert out.splitlines()[-1] == "admissible subcharts: 2147483570"
+
+
+def test_chart_validates_a_bounded_number_of_times(capsys, monkeypatch):
+    # 1,001 vertices have 499 neutral levels, each printed with its class
+    calls = []
+    validate = lc.validate
+
+    def counted(chart):
+        calls.append(chart)
+        return validate(chart)
+
+    monkeypatch.setattr(lc, "validate", counted)
+    rc, out, _ = run(capsys, "chart", diagonal(1001))
+    assert rc == 0
+    assert out.count("class at k=") == 499
+    assert len(calls) <= 6
+
+
+def test_chart_refuses_a_count_too_long_to_print(capsys):
+    # the count has more digits than Python converts to a string by default
+    rc, out, err = run(capsys, "chart", diagonal(15001))
+    assert rc == 2
+    assert out == ""
+    assert "15001-vertex chart" in err and "cannot be printed" in err
 
 
 def test_chart_reports_invalid_without_failing(capsys):

@@ -58,8 +58,6 @@ def test_n3_counts_closed_forms():
     assert ct.n3_counts(1) == (4, 9, 6)
     assert ct.n3_counts(2) == (16, 30, 15)
     assert ct.n3_counts(3) == (36, 63, 28)
-    for N in (1, 2, 3):
-        ct.n3_counts(N, verify=True)
 
 
 def test_n3_euler_characteristic_is_one():

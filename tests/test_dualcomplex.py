@@ -61,6 +61,16 @@ def test_build_n2_is_a_path():
         assert sorted(degrees.values()) == [1, 1] + [2] * (N - 1)
 
 
+def test_is_connected():
+    cx = dc.build(2, 3)
+    assert cx.is_connected()
+    cut = cx.by_dim[1][1].id  # without any one edge a path falls apart
+    cells = tuple(c for c in cx.cells if c.id != cut)
+    incidence = frozenset(p for p in cx.incidence if cut not in p)
+    assert not dc.DualComplex(2, 3, cells, incidence).is_connected()
+    assert dc.DualComplex(2, 3, (), frozenset()).is_connected()
+
+
 def test_cells_record_shapes():
     cx = dc.build(3, 2)
     for cell in cx.cells:
@@ -99,6 +109,10 @@ def test_ambiguous_levels_get_suffixed_ids():
     assert suffixed
     for c in suffixed:
         assert c.id == "%s@k=%d" % (st.format_stratum(c.stratum), c.k)
+    for s, cells in cx.by_stratum.items():
+        assert all(c.stratum == s for c in cells)
+        assert sorted(c.k for c in cells) == list(st.valid_levels(s))
+    assert sum(map(len, cx.by_stratum.values())) == len(cx.cells)
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,40 @@ def test_specializations_need_admissible():
         st.specializations(mk(3, 1, 1, (1, 2, 2)))
 
 
+def scan_specializations(s, candidates):
+    """Reference: scan every admissible stratum for covers of s.
+
+    candidates pairs each admissible stratum at (s.n, s.N) with the set
+    of its codim-1 faces.
+    """
+    want = st.cell_dimension(s) + 1
+    out = []
+    for t, codim1 in candidates:
+        if not s.b < t.b <= s.b + 2:
+            continue
+        if st.cell_dimension(t) != want:
+            continue
+        if s in codim1:
+            out.append(t)
+    return sorted(out, key=st.canonical_key)
+
+
+@pytest.mark.parametrize("n, N", [(3, 2), (4, 1), (5, 1)])
+def test_specializations_match_scan(n, N):
+    pool = list(st.iter_strata(n, N, admissible_only=True))
+    # from n = 5 on some strata span two cells, one per neutral level
+    assert n < 5 or any(len(st.valid_levels(s)) == 2 for s in pool)
+    candidates = [(t, {f for f, _ in st.face_items(t, codim=1)}) for t in pool]
+    for s in pool:
+        assert st.specializations(s) == scan_specializations(s, candidates)
+
+
+def test_specializations_of_an_isolated_point():
+    points = [s for N in (1, 2, 3) for s in st.iter_strata(1, N, admissible_only=True)]
+    assert points
+    assert all(st.specializations(s) == [] for s in points)
+
+
 # ---------------------------------------------------------------------------
 # occupancy and the weight obstruction
 
