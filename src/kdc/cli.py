@@ -156,13 +156,7 @@ def cmd_dual(args: argparse.Namespace) -> int:
         print("error: %s output needs an n = 3 complex" % args.fmt, file=sys.stderr)
         return 2
     cx = dc.build(args.n, args.N)
-    blob = dc.export(cx, args.fmt, layout_seed=args.seed)
-    if args.out:
-        with open(args.out, "wb") as handle:
-            handle.write(blob)
-    else:
-        sys.stdout.buffer.write(blob)
-        sys.stdout.buffer.flush()
+    _emit(dc.export(cx, args.fmt, layout_seed=args.seed).decode("ascii"), args.out)
     if args.n == 3 and not args.quiet:
         print(dc.verify_disk(cx).summary(), file=sys.stderr)
     return 0
@@ -197,7 +191,7 @@ def main(argv=None) -> int:
     except InvariantError as breach:
         print("invariant breached: %s" % breach, file=sys.stderr)
         return 3
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

@@ -54,7 +54,24 @@ def _lattice_shape(chart, k: int) -> Tuple[int, int, int]:
     return (on, above, below)
 
 
-def _make_cell(s: st.Stratum, k: int, cid: str) -> Cell:
+def _make_cell(s: st.Stratum, k: Optional[int] = None) -> Cell:
+    """The cell of s at valid level k, by default at its only one.
+
+    This is the one place that names a cell: the stratum literal, with
+    ``@k=`` exactly when s spans two cells.
+    """
+    levels = st.valid_levels(s)
+    cid = st.format_stratum(s)
+    if not levels:
+        raise ValueError("%s is inadmissible" % cid)
+    if k is None:
+        if len(levels) > 1:
+            raise ValueError("neutral level of %s is ambiguous, name one of %r" % (cid, levels))
+        k = levels[0]
+    if k not in levels:
+        raise ValueError("k=%d is not a valid neutral level of %s" % (k, cid))
+    if len(levels) > 1:
+        cid += "@k=%d" % k
     cls = st.classify_stratum(s, k)
     shape = _lattice_shape(st.chart_of(s), k)
     dim = st.cell_dimension(s)
@@ -143,35 +160,23 @@ def build(n: int, N: int) -> DualComplex:
         raise ValueError("need n >= 2")
     if N < 1:
         raise ValueError("need N >= 1")
-    flat = st._admissible_flat(n, N)
-    pairs: List[Tuple[st.Stratum, int]] = []
-    multi = set()
-    for s in flat:
-        levels = st.valid_levels(s)
-        if len(levels) > 1:
-            multi.add(st.canonical_key(s))
-        for k in levels:
-            pairs.append((s, k))
-
     index: Dict[Tuple[tuple, int], str] = {}
     cells = []
-    for s, k in pairs:
-        cid = st.format_stratum(s)
-        if st.canonical_key(s) in multi:
-            cid += "@k=%d" % k
-        index[(st.canonical_key(s), k)] = cid
-        cells.append(_make_cell(s, k, cid))
+    for s in st._admissible_flat(n, N):
+        for k in st.valid_levels(s):
+            cell = _make_cell(s, k)
+            index[(st.canonical_key(s), k)] = cell.id
+            cells.append(cell)
 
     incidence = set()
-    for s, k in pairs:
-        cid = index[(st.canonical_key(s), k)]
-        for face, fk in st.face_items(s, k, codim=1):
+    for c in cells:
+        for face, fk in st.face_items(c.stratum, c.k, codim=1):
             fid = index.get((st.canonical_key(face), fk))
             if fid is None:
                 raise InvariantError(
                     "face %s missing from enumeration" % st.format_stratum(face)
                 )
-            incidence.add((fid, cid))
+            incidence.add((fid, c.id))
 
     cells.sort(key=lambda c: c.id)
     return DualComplex(n, N, tuple(cells), frozenset(incidence))
@@ -210,15 +215,8 @@ def delta_K(top: st.Stratum, k: Optional[int] = None) -> LocalComplex:
     """
     if top.b != top.n:
         raise ValueError("need a deepest stratum (b = n)")
-    levels = st.valid_levels(top)
-    if not levels:
-        raise ValueError("stratum is not admissible")
-    if k is None:
-        if len(levels) > 1:
-            raise ValueError("neutral level is ambiguous, pass k explicitly")
-        k = levels[0]
-    elif k not in levels:
-        raise ValueError("k=%d is not a neutral level of this stratum" % k)
+    center = _make_cell(top, k)
+    k = center.k
 
     verts = st.chart_of(top).vertices
     v = len(verts)
@@ -228,13 +226,11 @@ def delta_K(top: st.Stratum, k: Optional[int] = None) -> LocalComplex:
         support = frozenset((verts[i].x, verts[i].y) for i in range(v) if mask >> i & 1)
         dims[support] = dim
         if mask == (1 << v) - 1:
-            face, fk = top, k
+            cells[support] = center
         else:
-            face, fk = st._collapse_face(top, verts, mask, k)
-        cells[support] = _make_cell(face, fk, st.format_stratum(face))
-    local = LocalComplex(_make_cell(top, k, st.format_stratum(top)),
-                         polytope.FacePoset(dims), cells)
-    if len({c.id for c in local.cells.values()}) != len(local.cells):
+            cells[support] = _make_cell(*st._collapse_face(top, verts, mask, k))
+    local = LocalComplex(center, polytope.FacePoset(dims), cells)
+    if len({c.stratum for c in local.cells.values()}) != len(local.cells):
         raise InvariantError("face strata of a single cell must be distinct")
     return local
 
@@ -797,48 +793,59 @@ def export(cx: DualComplex, fmt: str, layout_seed: int = 0, labels: bool = False
     raise ValueError("unknown export format %r" % fmt)
 
 
-_ID_RE = re.compile(r"^(?P<literal>X\{.*\})(?:@k=(?P<k>-?\d+))?$")
+_LEVEL_RE = re.compile(r"@k=(-?\d+)$")
+
+
+def _field(obj, name: str, kind: type, where: str):
+    """obj[name], or a ValueError unless obj is a JSON object with a kind there."""
+    value = obj.get(name) if isinstance(obj, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):  # bool subclasses int
+        raise ValueError("%s must be a JSON object with field %r of type %s"
+                         % (where, name, kind.__name__))
+    return value
 
 
 def parse_complex(data) -> DualComplex:
-    """Rebuild a DualComplex from its JSON export."""
+    """Rebuild a DualComplex from its JSON export.
+
+    Each cell is remade from its points and level, and its id must be the
+    one ``build`` gives that cell.
+    """
     if isinstance(data, bytes):
         data = data.decode("ascii")
     if isinstance(data, str):
         data = json.loads(data)
-    if data.get("version") != SCHEMA_VERSION:
-        raise ValueError("unsupported schema version %r" % data.get("version"))
-    n, N = int(data["n"]), int(data["N"])
+    if _field(data, "version", str, "the complex") != SCHEMA_VERSION:
+        raise ValueError("unsupported schema version %r" % data["version"])
+    n, N = _field(data, "n", int, "the complex"), _field(data, "N", int, "the complex")
     cells = []
     dims: Dict[str, int] = {}
-    for entry in data["cells"]:
-        match = _ID_RE.match(entry["id"])
-        if not match:
-            raise ValueError("bad cell id %r" % entry["id"])
-        s = st.Stratum(
-            n, N, int(entry["b"]),
-            [st.PointLabel(int(p["tau"]), int(p["x"])) for p in entry["points"]],
-        )
-        if match.group("literal") != st.format_stratum(s):
-            raise ValueError("cell id %r does not match its points" % entry["id"])
-        if match.group("k") is not None:
-            k = int(match.group("k"))
-        else:
-            levels = st.valid_levels(s)
-            if len(levels) != 1:
-                raise ValueError(
-                    "cell id %r needs an explicit neutral level" % entry["id"]
-                )
-            k = levels[0]
-        cell = _make_cell(s, k, entry["id"])
-        if cell.dim != int(entry["dim"]) or str(cell.cls) != entry["class"]:
-            raise ValueError("cell metadata mismatch for %r" % entry["id"])
-        if cell.id in dims:
-            raise ValueError("duplicate cell id %r" % cell.id)
-        dims[cell.id] = cell.dim
+    for i, entry in enumerate(_field(data, "cells", list, "the complex")):
+        cid = _field(entry, "id", str, "cell entry %d" % i)
+        where, at = "cell %r" % cid, "each point of cell %r" % cid
+        points = [(_field(p, "tau", int, at), _field(p, "x", int, at))
+                  for p in _field(entry, "points", list, where)]
+        b = _field(entry, "b", int, where)
+        match = _LEVEL_RE.search(cid)
+        k = int(match.group(1)) if match else None
+        try:
+            cell = _make_cell(st.Stratum(n, N, b, points), k)
+        except ValueError as err:
+            raise ValueError("%s: %s" % (where, err)) from None
+        if cell.id != cid:
+            raise ValueError("%s is not %r, the id of its points and level" % (where, cell.id))
+        if (cell.dim != _field(entry, "dim", int, where)
+                or str(cell.cls) != _field(entry, "class", str, where)):
+            raise ValueError("cell metadata mismatch for %r" % cid)
+        if cid in dims:
+            raise ValueError("duplicate cell id %r" % cid)
+        dims[cid] = cell.dim
         cells.append(cell)
     incidence = set()
-    for lo, hi in data["incidence"]:
+    for pair in _field(data, "incidence", list, "the complex"):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(e, str) for e in pair)):
+            raise ValueError("incidence entry %r is not a pair of cell ids" % (pair,))
+        lo, hi = pair
         if lo not in dims or hi not in dims:
             raise ValueError("incidence (%r, %r) references an unknown cell" % (lo, hi))
         if lo == hi:

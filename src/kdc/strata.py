@@ -275,11 +275,8 @@ def classify_stratum(s: Stratum, k: Optional[int] = None) -> Classification:
 
 
 def dimension(s: Stratum, delta: int = 2) -> int:
-    """delta*(n-1) + (n-b) + eps with eps = 1 iff wide."""
-    if delta not in (1, 2):
-        raise ValueError("delta must be 1 or 2")
-    eps = 1 if classify_stratum(s) is Classification.WIDE else 0
-    return delta * (s.n - 1) + (s.n - s.b) + eps
+    """delta*(n-1) + (n-b) + eps with eps = 1 iff wide: the quotient dimension plus n."""
+    return quotient_dimension(s, delta) + s.n
 
 
 def quotient_dimension(s: Stratum, delta: int = 2) -> int:

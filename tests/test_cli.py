@@ -166,6 +166,20 @@ def test_dual_writes_files(capsys, tmp_path):
     assert dc.parse_complex(target.read_bytes()) == dc.build(3, 1)
 
 
+@pytest.mark.parametrize("argv", [
+    ("dual", "--n", "3", "--N", "1"),
+    ("enumerate", "--n", "3", "--N", "1"),
+    ("verify", "--suite", "counts", "--max-n", "3", "--max-N", "1", "--quiet"),
+])
+def test_unwritable_out_exits_2(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x"
+    rc, out, err = run(capsys, *argv, "--out", str(target))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+
+
 def test_verify_counts_suite(capsys):
     rc, out, err = run(capsys, "verify", "--suite", "counts", "--max-n", "4", "--max-N", "3")
     assert rc == 0

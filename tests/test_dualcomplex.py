@@ -182,9 +182,14 @@ def test_local_lattice_is_a_slice():
 
 
 def test_local_cells_agree_with_global_complex():
-    cx = dc.build(3, 1)
-    for top in (D123, D12m3):
-        local = dc.delta_K(top)
+    cx3, cx5 = dc.build(3, 1), dc.build(5, 1)
+    # every top cell of (5,1) at its own level, two-level strata included
+    tops = [(cx3, top, None) for top in (D123, D12m3)]
+    tops += [(cx5, top.stratum, top.k) for top in cx5.by_dim[4]]
+    assert any("@k=" in top.id for top in cx5.by_dim[4])
+    for cx, top, k in tops:
+        local = dc.delta_K(top, k)
+        assert cx.by_id[local.top.id] == local.top
         for support, cell in local.cells.items():
             peer = cx.by_id[cell.id]
             assert peer.lattice_shape == cell.lattice_shape
@@ -205,6 +210,11 @@ def test_delta_K_guards():
         assert dc.delta_K(ambiguous, k=k).top.k == k
     with pytest.raises(ValueError):
         dc.delta_K(ambiguous, k=3)
+    # k = 2 is a neutral level of the chart but fails the residue condition
+    one_level = mk(5, 2, 5, (1, 2, 3, 4, 5), taus=(1, 0, 0, 0, 0))
+    assert st.valid_levels(one_level) == (1,)
+    with pytest.raises(ValueError, match="k=2 is not a valid neutral level"):
+        dc.delta_K(one_level, k=2)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +563,55 @@ def test_parse_rejects_incidence_across_two_dims():
     data["incidence"][-1] = [triangle, cx.by_dim[1][0].id]
     with pytest.raises(ValueError, match="joins dims 2 and 1"):
         dc.parse_complex(data)
+
+
+def test_parse_rejects_spurious_level_suffix():
+    data = json.loads(dc.export(dc.build(3, 1), "json"))
+    entry = data["cells"][0]
+    (k,) = st.valid_levels(st.parse_stratum(entry["id"]))
+    entry["id"] += "@k=%d" % k
+    with pytest.raises(ValueError, match="the id of its points and level") as err:
+        dc.parse_complex(data)
+    assert entry["id"] in str(err.value)
+
+
+def _first_cell(data):
+    return data["cells"][0]
+
+
+def _edit(change):
+    """A tamper that edits the export in place and returns it."""
+    def tamper(data):
+        change(data)
+        return data
+    return tamper
+
+
+MALFORMED = {
+    "array": (lambda d: [d], "the complex must be a JSON object with field 'version'"),
+    "no points": (_edit(lambda d: _first_cell(d).pop("points")), "field 'points' of type list"),
+    "integer id": (_edit(lambda d: _first_cell(d).update(id=7)), "cell entry 0 must .* field 'id'"),
+    "point not an object": (_edit(lambda d: _first_cell(d).update(points=[[0, 1]] * 3)),
+                            "each point of cell .* field 'tau'"),
+    "boolean for an integer": (_edit(lambda d: _first_cell(d).update(b=False)),
+                               "field 'b' of type int"),
+    "too few points": (_edit(lambda d: _first_cell(d)["points"].pop()),
+                       "cell .*: expected 3 points"),
+    "one-element pair": (_edit(lambda d: d["incidence"].append(d["incidence"][0][:1])),
+                         "incidence entry .* is not a pair"),
+    "level not valid": (_edit(lambda d: _first_cell(d).update(id=_first_cell(d)["id"] + "@k=7")),
+                        r"cell 'X.*@k=7': k=7 is not a valid neutral level"),
+    "inadmissible": (_edit(lambda d: _first_cell(d)["points"][0].update(tau=1)),
+                     "cell 'X.*': X.* is inadmissible"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_parse_rejects_malformed_input(case):
+    tamper, message = MALFORMED[case]
+    data = json.loads(dc.export(dc.build(3, 2), "json"))
+    with pytest.raises(ValueError, match=message):
+        dc.parse_complex(tamper(data))
 
 
 def test_parse_requires_level_when_ambiguous():
