@@ -8,8 +8,8 @@ command line; layouts take an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 from typing import Optional
@@ -71,47 +71,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Optional[str]):
-    if out:
-        with open(out, "w", encoding="ascii") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_out(out: Optional[str]):
+    """The --out file or stdout, opened by each command before its work."""
+    return open(out, "w", encoding="ascii") if out else contextlib.nullcontext(sys.stdout)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.n < 2:
         print("enumerate needs --n at least 2", file=sys.stderr)
         return 2
-    groups = st.enumerate_admissible(args.n, args.N)
-    rows = []
-    for dim in sorted(groups, reverse=True):
-        for s in groups[dim]:
-            rows.append(
-                (
-                    st.format_stratum(s),
-                    s.b,
-                    str(st.classify_stratum(s)),
-                    st.cell_dimension(s),
-                    st.quotient_dimension(s, delta=args.delta),
-                    lc.format_chart(st.chart_of(s)),
+    with _open_out(args.out) as sink:
+        groups = st.enumerate_admissible(args.n, args.N)
+        rows = []
+        for dim in sorted(groups, reverse=True):
+            for s in groups[dim]:
+                rows.append(
+                    (
+                        st.format_stratum(s),
+                        s.b,
+                        str(st.classify_stratum(s)),
+                        st.cell_dimension(s),
+                        st.quotient_dimension(s, delta=args.delta),
+                        lc.format_chart(st.chart_of(s)),
+                    )
                 )
-            )
-    summary = " ".join(
-        "%d:%d" % (dim, len(groups[dim])) for dim in sorted(groups, reverse=True)
-    )
-    if args.fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(("id", "b", "class", "dim", "qdim", "chart"))
-        writer.writerows(rows)
-        _emit(buffer.getvalue(), args.out)
-        return 0
-    lines = []
-    if not args.quiet:
-        lines.extend("\t".join(str(field) for field in row) for row in rows)
-    lines.append(summary)
-    _emit("\n".join(lines) + "\n", args.out)
+        if args.fmt == "csv":
+            writer = csv.writer(sink)
+            writer.writerow(("id", "b", "class", "dim", "qdim", "chart"))
+            writer.writerows(rows)
+            return 0
+        lines = []
+        if not args.quiet:
+            lines.extend("\t".join(str(field) for field in row) for row in rows)
+        lines.append(" ".join(
+            "%d:%d" % (dim, len(groups[dim])) for dim in sorted(groups, reverse=True)
+        ))
+        sink.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -155,23 +150,25 @@ def cmd_dual(args: argparse.Namespace) -> int:
     if args.fmt in ("off", "tikz") and args.n != 3:
         print("error: %s output needs an n = 3 complex" % args.fmt, file=sys.stderr)
         return 2
-    cx = dc.build(args.n, args.N)
-    _emit(dc.export(cx, args.fmt, layout_seed=args.seed).decode("ascii"), args.out)
+    with _open_out(args.out) as sink:
+        cx = dc.build(args.n, args.N)
+        sink.write(dc.export(cx, args.fmt, layout_seed=args.seed).decode("ascii"))
     if args.n == 3 and not args.quiet:
         print(dc.verify_disk(cx).summary(), file=sys.stderr)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report, ok = verify.run_suite(args.suite, max_n=args.max_n, max_N=args.max_N)
-    if not args.quiet:
-        for entry in report["criteria"]:
-            print(
-                "%-4s %2d %s (%.3fs)"
-                % (entry["status"], entry["id"], entry["name"], entry["seconds"]),
-                file=sys.stderr,
-            )
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    with _open_out(args.out) as sink:
+        report, ok = verify.run_suite(args.suite, max_n=args.max_n, max_N=args.max_N)
+        if not args.quiet:
+            for entry in report["criteria"]:
+                print(
+                    "%-4s %2d %s (%.3fs)"
+                    % (entry["status"], entry["id"], entry["name"], entry["seconds"]),
+                    file=sys.stderr,
+                )
+        sink.write(json.dumps(report, indent=2) + "\n")
     return 0 if ok else 1
 
 

@@ -293,11 +293,14 @@ class DiskReport:
     boundary_ok: bool
     euler: int
     boundary_cycle: Tuple[str, ...]
-    verdict: str
 
     @property
     def ok(self) -> bool:
-        return self.verdict == "combinatorial disk"
+        return not self.failures()
+
+    @property
+    def verdict(self) -> str:
+        return "combinatorial disk" if self.ok else "not a combinatorial disk"
 
     def summary(self) -> str:
         lines = [
@@ -340,104 +343,64 @@ def verify_disk(cx: DualComplex) -> DiskReport:
     return report
 
 
+def _walk(adj: Dict[str, List[str]]) -> Optional[Tuple[str, ...]]:
+    """The nodes of a nonempty graph in order along its one path or cycle, else None.
+
+    A path starts at its least end.  A cycle starts at its least node,
+    steps to that node's first-listed neighbour and then on to the
+    neighbour it did not come from; a repeated neighbour is a two-node
+    cycle.
+    """
+    if any(len(nbs) > 2 for nbs in adj.values()):
+        return None
+    start = min([u for u, nbs in adj.items() if len(nbs) < 2] or adj)
+    walk, prev = [start], None
+    while True:
+        step = [w for w in adj[walk[-1]] if w != prev]
+        if not step or step[0] == start:
+            break
+        prev = walk[-1]
+        walk.append(step[0])
+    return tuple(walk) if len(walk) == len(adj) else None
+
+
+def _link_ok(cx: DualComplex, v: str) -> bool:
+    """Whether the link of v, its edges joined by its triangles, is one path or cycle."""
+    link: Dict[str, List[str]] = {e: [] for e in cx.up[v]}
+    for t in {t for e in link for t in cx.up[e]}:
+        through = [e for e in cx.down[t] if e in link]
+        if len(through) != 2:
+            return False
+        a, b = through
+        link[a].append(b)
+        link[b].append(a)
+    return not link or _walk(link) is not None
+
+
 def _check_disk(cx: DualComplex) -> DiskReport:
     vertices = [c.id for c in cx.by_dim.get(0, ())]
     edges = [c.id for c in cx.by_dim.get(1, ())]
-    tris = [c.id for c in cx.by_dim.get(2, ())]
 
-    connected = cx.is_connected()
-    pure = all(cx.up[e] for e in edges) and all(cx.up[v] for v in vertices)
-    edge_degrees_ok = all(len(cx.up[e]) in (1, 2) for e in edges)
+    # a disk has a nonempty boundary: the edges in one triangle, each
+    # with two ends, forming one cycle through vertices of degree 2
+    ends = [cx.down[e] for e in edges if len(cx.up[e]) == 1]
+    cycle = None
+    if ends and all(len(pair) == 2 for pair in ends):
+        boundary: Dict[str, List[str]] = {}
+        for a, b in ends:
+            boundary.setdefault(a, []).append(b)
+            boundary.setdefault(b, []).append(a)
+        if all(len(nbs) == 2 for nbs in boundary.values()):
+            cycle = _walk(boundary)
 
-    links_ok = True
-    for v in vertices:
-        star_edges = list(cx.up[v])
-        deg: Dict[str, int] = {e: 0 for e in star_edges}
-        link: Dict[str, List[str]] = {e: [] for e in star_edges}
-        for t in {t for e in star_edges for t in cx.up[e]}:
-            through = [e for e in cx.down[t] if e in deg]
-            if len(through) != 2:
-                links_ok = False
-                break
-            a, b = through
-            link[a].append(b)
-            link[b].append(a)
-            deg[a] += 1
-            deg[b] += 1
-        else:
-            if any(d > 2 for d in deg.values()):
-                links_ok = False
-            ends = [e for e, d in deg.items() if d == 1]
-            if len(ends) not in (0, 2):
-                links_ok = False
-            if star_edges:
-                comp = {star_edges[0]}
-                queue = [star_edges[0]]
-                while queue:
-                    for nb in link[queue.pop()]:
-                        if nb not in comp:
-                            comp.add(nb)
-                            queue.append(nb)
-                if len(comp) != len(star_edges):
-                    links_ok = False
-            continue
-        break
-
-    boundary_edges = [e for e in edges if len(cx.up[e]) == 1]
-    boundary_ok = True
-    cycle: Tuple[str, ...] = ()
-    if boundary_edges:
-        bnext: Dict[str, List[str]] = {}
-        for e in boundary_edges:
-            ends = cx.down[e]
-            if len(ends) != 2:
-                boundary_ok = False
-                break
-            bnext.setdefault(ends[0], []).append(ends[1])
-            bnext.setdefault(ends[1], []).append(ends[0])
-        if boundary_ok:
-            if any(len(v) != 2 for v in bnext.values()):
-                boundary_ok = False
-            else:
-                start = min(bnext)
-                walk = [start]
-                prev = None
-                while True:
-                    here = walk[-1]
-                    step = [w for w in bnext[here] if w != prev]
-                    nxt = step[0] if step else bnext[here][0]
-                    if nxt == start:
-                        break
-                    prev = here
-                    walk.append(nxt)
-                    if len(walk) > len(bnext):
-                        boundary_ok = False
-                        break
-                if boundary_ok and len(walk) != len(bnext):
-                    boundary_ok = False  # more than one cycle
-                if boundary_ok:
-                    cycle = tuple(walk)
-    else:
-        boundary_ok = False  # a disk has nonempty boundary
-
-    euler = cx.euler_characteristic()
-    good = (
-        connected
-        and pure
-        and edge_degrees_ok
-        and links_ok
-        and boundary_ok
-        and euler == 1
-    )
     return DiskReport(
-        connected=connected,
-        pure=pure,
-        edge_degrees_ok=edge_degrees_ok,
-        vertex_links_ok=links_ok,
-        boundary_ok=boundary_ok,
-        euler=euler,
-        boundary_cycle=cycle,
-        verdict="combinatorial disk" if good else "not a combinatorial disk",
+        connected=cx.is_connected(),
+        pure=all(cx.up[c] for c in edges + vertices),
+        edge_degrees_ok=all(len(cx.up[e]) in (1, 2) for e in edges),
+        vertex_links_ok=all(_link_ok(cx, v) for v in vertices),
+        boundary_ok=cycle is not None,
+        euler=cx.euler_characteristic(),
+        boundary_cycle=cycle or (),
     )
 
 
@@ -818,6 +781,8 @@ def parse_complex(data) -> DualComplex:
     if _field(data, "version", str, "the complex") != SCHEMA_VERSION:
         raise ValueError("unsupported schema version %r" % data["version"])
     n, N = _field(data, "n", int, "the complex"), _field(data, "N", int, "the complex")
+    if n < 2 or N < 1:
+        raise ValueError("the complex has (n, N) = (%d, %d), not n >= 2 and N >= 1" % (n, N))
     cells = []
     dims: Dict[str, int] = {}
     for i, entry in enumerate(_field(data, "cells", list, "the complex")):

@@ -293,18 +293,13 @@ def cell_dimension(s: Stratum) -> int:
     return v - 2 if classify_stratum(s) is Classification.WIDE else v - 1
 
 
-def _toward_zero(x: int, j: int) -> int:
-    if abs(x) < j:
-        return x
-    return x - 1 if x > 0 else x + 1
-
-
 def smooth(s: Stratum, j: int, mode: str = "hilbert") -> Optional[Stratum]:
     """Smooth along level j: points at levels >= j move one step toward 0.
 
-    Equivalently the chart loses its level-j vertex, and b drops by one.
-    Residues stay attached to their points.  In kummer mode the result
-    is returned only when admissible; hilbert mode always returns it.
+    This is the face on every chart vertex but the level-j one, so b
+    drops by one and residues stay attached to their points.  In kummer
+    mode the result is returned only when admissible; hilbert mode
+    always returns it.
     """
     mode = mode.lower()
     if mode not in ("hilbert", "kummer"):
@@ -313,7 +308,9 @@ def smooth(s: Stratum, j: int, mode: str = "hilbert") -> Optional[Stratum]:
         raise ValueError(f"smoothing level must lie in 1..{s.b + 1}, got {j}")
     if s.b == 0:
         raise ValueError("a b=0 stratum has no level left to smooth")
-    out = Stratum(s.n, s.N, s.b - 1, [PointLabel(p.tau, _toward_zero(p.x, j)) for p in s.points])
+    verts = _facts(s)[0].vertices
+    full = (1 << len(verts)) - 1
+    out = _collapse_face(s, verts, full & ~(1 << (s.b + 1 - j)), 0)[0]
     if mode == "kummer" and not is_admissible(out):
         return None
     return out

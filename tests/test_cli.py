@@ -7,6 +7,8 @@ import pytest
 from kdc import cli
 from kdc import dualcomplex as dc
 from kdc import linechart as lc
+from kdc import strata as st
+from kdc import verify
 
 
 def run(capsys, *argv):
@@ -55,10 +57,13 @@ def test_enumerate_csv(capsys):
     assert all(ln.count(",") >= 5 for ln in lines[1:])
 
 
-def test_enumerate_needs_n2(capsys):
-    rc, _, err = run(capsys, "enumerate", "--n", "1", "--N", "1")
+def test_enumerate_needs_n2(capsys, tmp_path):
+    target = tmp_path / "x"
+    target.write_text("kept")
+    rc, _, err = run(capsys, "enumerate", "--n", "1", "--N", "1", "--out", str(target))
     assert rc == 2
     assert "at least 2" in err
+    assert target.read_text() == "kept"  # refused before --out is opened
 
 
 def test_bad_flag_values_exit_2():
@@ -145,10 +150,14 @@ def test_dual_quiet_silences_report(capsys):
     assert err == ""
 
 
-def test_dual_off_needs_n3(capsys):
-    rc, _, err = run(capsys, "dual", "--n", "4", "--N", "1", "--format", "off")
+def test_dual_off_needs_n3(capsys, tmp_path):
+    target = tmp_path / "x"
+    target.write_text("kept")
+    rc, _, err = run(capsys, "dual", "--n", "4", "--N", "1", "--format", "off",
+                     "--out", str(target))
     assert rc == 2
     assert "error:" in err
+    assert target.read_text() == "kept"  # refused before --out is opened
 
 
 def test_dual_geometry_check_precedes_build(capsys):
@@ -171,7 +180,13 @@ def test_dual_writes_files(capsys, tmp_path):
     ("enumerate", "--n", "3", "--N", "1"),
     ("verify", "--suite", "counts", "--max-n", "3", "--max-N", "1", "--quiet"),
 ])
-def test_unwritable_out_exits_2(capsys, tmp_path, argv):
+def test_unwritable_out_exits_2(capsys, tmp_path, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before --out was opened")
+
+    monkeypatch.setattr(st, "enumerate_admissible", refuse)
+    monkeypatch.setattr(dc, "build", refuse)
+    monkeypatch.setattr(verify, "run_suite", refuse)
     target = tmp_path / "missing" / "x"
     rc, out, err = run(capsys, *argv, "--out", str(target))
     assert rc == 2

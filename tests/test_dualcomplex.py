@@ -249,6 +249,66 @@ def test_removing_a_triangle_breaks_the_disk():
     assert report.euler == 0
 
 
+def _third_triangle(cx):
+    e = next(e.id for e in cx.by_dim[1] if len(cx.up[e.id]) == 2)
+    t = next(t.id for t in cx.by_dim[2] if t.id not in cx.up[e])
+    return cx.cells, cx.incidence | {(e, t)}
+
+
+def _boundary_edge_in_a_second_triangle(cx):
+    e = next(e.id for e in cx.by_dim[1] if len(cx.up[e.id]) == 1)
+    t = next(t.id for t in cx.by_dim[2] if t.id not in cx.up[e])
+    return cx.cells, cx.incidence | {(e, t)}
+
+
+def _boundary_edge_loses_an_end(cx):
+    e = next(e.id for e in cx.by_dim[1] if len(cx.up[e.id]) == 1)
+    return cx.cells, cx.incidence - {(cx.down[e][0], e)}
+
+
+def _three_edges_at_a_vertex(cx):
+    t = cx.by_dim[2][0].id
+    corners = sorted({v for e in cx.down[t] for v in cx.down[e]})
+    e = next(e for v in corners for e in cx.up[v] if e not in cx.down[t])
+    return cx.cells, cx.incidence | {(e, t)}
+
+
+def _vertex_without_cofaces(cx):
+    return cx.cells + (dc.build(3, cx.N + 1).by_dim[0][0],), cx.incidence
+
+
+@pytest.mark.parametrize("perturb, failures, boundary_kept", [
+    (_third_triangle, ["edge degrees 1|2", "vertex links"], True),
+    (_boundary_edge_in_a_second_triangle, ["vertex links", "boundary cycle"], False),
+    (_boundary_edge_loses_an_end, ["vertex links", "boundary cycle"], False),
+    (_three_edges_at_a_vertex, ["edge degrees 1|2", "vertex links"], True),
+    (_vertex_without_cofaces, ["connected", "pure 2-dim", "euler 2 != 1"], True),
+])
+def test_disk_check_failing_branches(perturb, failures, boundary_kept):
+    cx = dc.build(3, 2)
+    cells, incidence = perturb(cx)
+    report = dc.verify_disk(dc.DualComplex(3, 2, cells, frozenset(incidence)))
+    assert report.failures() == failures
+    assert not report.ok and report.verdict == "not a combinatorial disk"
+    kept = dc.verify_disk(cx).boundary_cycle
+    assert report.boundary_cycle == (kept if boundary_kept else ())
+    assert len(kept) == 12
+
+
+@pytest.mark.parametrize("adj, walk", [
+    ({"a": []}, ("a",)),
+    ({"b": ["a", "c"], "c": ["b"], "a": ["b"]}, ("a", "b", "c")),
+    ({"b": ["c", "a"], "a": ["c", "b"], "c": ["a", "b"]}, ("a", "c", "b")),
+    ({"a": ["b", "b"], "b": ["a", "a"]}, ("a", "b")),
+    ({"a": ["b"], "b": ["a", "c", "d"], "c": ["b"], "d": ["b"]}, None),
+    ({"a": ["b"], "b": ["a", "c", "d"], "c": ["b", "d"], "d": ["c", "b"], "e": []}, None),
+    ({"a": ["b"], "b": ["a"], "c": []}, None),
+    ({"a": ["b", "b"], "b": ["a", "a"], "c": ["d", "d"], "d": ["c", "c"]}, None),
+])
+def test_walk_follows_one_path_or_cycle(adj, walk):
+    assert dc._walk(adj) == walk
+
+
 def test_verify_disk_needs_n3():
     with pytest.raises(ValueError, match=r"\(n, N\) = \(2, 2\)"):
         dc.verify_disk(dc.build(2, 2))
@@ -603,6 +663,8 @@ MALFORMED = {
                         r"cell 'X.*@k=7': k=7 is not a valid neutral level"),
     "inadmissible": (_edit(lambda d: _first_cell(d)["points"][0].update(tau=1)),
                      "cell 'X.*': X.* is inadmissible"),
+    "n and N out of range": (_edit(lambda d: d.update(n=-5, N=0, cells=[], incidence=[])),
+                             r"the complex has \(n, N\) = \(-5, 0\)"),
 }
 
 

@@ -484,6 +484,13 @@ def test_trusted_construction_matches_validated(engine_strata):
     for s in engine_strata:
         again = st.Stratum(s.n, s.N, s.b, [(p.tau, p.x) for p in s.points])
         assert again == s and again.points == s.points
+        # a smoothing is a face too: compare it with the shifted points
+        for j in range(1, s.b + 2) if s.b else ():
+            shifted = [(p.tau, p.x if abs(p.x) < j else p.x - (1 if p.x > 0 else -1))
+                       for p in s.points]
+            want = st.Stratum(s.n, s.N, s.b - 1, shifted)
+            got = st.smooth(s, j)
+            assert got == want and got.points == want.points
 
 
 def test_copy_and_pickle_round_trip():
