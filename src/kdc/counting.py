@@ -23,9 +23,10 @@ def a(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n <= 2:
-        return 0
-    return 4 * a(n - 2) + 4 * ballot(n - 2)
+    value = 0
+    for m in range(2 - n % 2, n - 1, 2):  # a(m) -> a(m + 2), from a(1) or a(2)
+        value = 4 * value + 4 * ballot(m)
+    return value
 
 
 def ballot(n: int) -> int:

@@ -483,13 +483,16 @@ def type4_vertices(cx: DualComplex) -> Tuple[Cell, ...]:
 # automorphisms of n = 3 complexes
 
 
+def _corners(cx: DualComplex, t: str) -> Tuple[str, str, str]:
+    """The sorted vertices of triangle t, which must be three."""
+    vs = sorted({v for e in cx.down[t] for v in cx.down[e]})
+    if len(vs) != 3:
+        raise ValueError("triangle %s is not on three vertices" % t)
+    return tuple(vs)
+
+
 def _triangulation_tables(cx: DualComplex):
-    tri_verts = {}
-    for t in cx.by_dim.get(2, ()):
-        vs = sorted({v for e in cx.down[t.id] for v in cx.down[e]})
-        if len(vs) != 3:
-            raise ValueError("triangle %s is not on three vertices" % t.id)
-        tri_verts[t.id] = tuple(vs)
+    tri_verts = {t.id: _corners(cx, t.id) for t in cx.by_dim.get(2, ())}
     edge_by_pair = {}
     for e in cx.by_dim.get(1, ()):
         ends = frozenset(cx.down[e.id])
@@ -504,62 +507,56 @@ def has_automorphism(cx: DualComplex, order: int) -> bool:
 
     Works on n = 3 simple triangulations: a map of one triangle onto
     another propagates uniquely across shared edges, so all candidates
-    can be enumerated from seed correspondences.
+    can be enumerated from seed correspondences.  The seeds map the first
+    triangle onto each triangle in id order, corners in every order;
+    across an edge only the first other triangle on each side is followed.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     tri_verts, edge_by_pair = _triangulation_tables(cx)
     tris = sorted(tri_verts)
-    if not tris:
-        return False
-    t0 = tris[0]
-
     for t1 in tris:
         for image in itertools.permutations(tri_verts[t1]):
-            vmap = dict(zip(tri_verts[t0], image))
-            tmap = {t0: t1}
-            queue = [t0]
-            good = True
-            while queue and good:
-                t = queue.pop()
-                ti = tmap[t]
-                for pair in itertools.combinations(tri_verts[t], 2):
-                    e = edge_by_pair[frozenset(pair)]
-                    ipair = frozenset(vmap[v] for v in pair)
-                    ei = edge_by_pair.get(ipair)
-                    if ei is None or len(cx.up[e]) != len(cx.up[ei]):
-                        good = False
-                        break
-                    nbrs = [x for x in cx.up[e] if x != t]
-                    inbrs = [x for x in cx.up[ei] if x != ti]
-                    if not nbrs:
-                        continue
-                    tn, tni = nbrs[0], inbrs[0]
-                    third = next(v for v in tri_verts[tn] if v not in pair)
-                    ithird = next(v for v in tri_verts[tni] if v not in ipair)
-                    if third in vmap:
-                        if vmap[third] != ithird:
-                            good = False
-                            break
-                    elif ithird in vmap.values():
-                        good = False
-                        break
-                    else:
-                        vmap[third] = ithird
-                    if tn in tmap:
-                        if tmap[tn] != tni:
-                            good = False
-                            break
-                    else:
-                        tmap[tn] = tni
-                        queue.append(tn)
-            if not good or len(tmap) != len(tris):
-                continue
-            if len(set(vmap.values())) != len(vmap):
-                continue
-            if _permutation_order(vmap) == order:
+            vmap = _propagate(cx, tri_verts, edge_by_pair, tris[0], t1, image)
+            if vmap is not None and _permutation_order(vmap) == order:
                 return True
     return False
+
+
+def _propagate(cx: DualComplex, tri_verts, edge_by_pair, t0: str, t1: str, image):
+    """The vertex map forced by sending t0's corners onto image in t1, or None.
+
+    None when an edge has no image with as many cofaces, two steps disagree,
+    some triangle is not reached or the map is not one-to-one.
+    """
+    vmap = dict(zip(tri_verts[t0], image))
+    tmap = {t0: t1}
+    queue = [t0]
+    while queue:
+        t = queue.pop()
+        ti = tmap[t]
+        for pair in itertools.combinations(tri_verts[t], 2):
+            e = edge_by_pair[frozenset(pair)]
+            ipair = frozenset(vmap[v] for v in pair)
+            ei = edge_by_pair.get(ipair)
+            if ei is None or len(cx.up[e]) != len(cx.up[ei]):
+                return None
+            nbrs = [x for x in cx.up[e] if x != t]
+            if not nbrs:
+                continue
+            tn, tni = nbrs[0], [x for x in cx.up[ei] if x != ti][0]
+            third = next(v for v in tri_verts[tn] if v not in pair)
+            ithird = next(v for v in tri_verts[tni] if v not in ipair)
+            if vmap.setdefault(third, ithird) != ithird:
+                return None
+            if tn not in tmap:
+                tmap[tn] = tni
+                queue.append(tn)
+            elif tmap[tn] != tni:
+                return None
+    if len(tmap) != len(tri_verts) or len(set(vmap.values())) != len(vmap):
+        return None
+    return vmap
 
 
 def _permutation_order(perm: Dict[str, str]) -> int:
@@ -719,8 +716,7 @@ def _export_off(cx: DualComplex, seed: int) -> bytes:
     for v in vids:
         lines.append("%.9f %.9f 0" % pos[v])
     for t in tris:
-        vs = sorted({v for e in cx.down[t.id] for v in cx.down[e]})
-        lines.append("3 %d %d %d" % tuple(index[v] for v in vs))
+        lines.append("3 %d %d %d" % tuple(index[v] for v in _corners(cx, t.id)))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

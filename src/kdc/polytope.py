@@ -9,6 +9,7 @@ participates in cone building.  No coordinates, no hulls.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Tuple
 
 Face = FrozenSet[Hashable]
@@ -19,7 +20,8 @@ def _face_key(face: Face) -> Tuple:
 
 
 class FacePoset:
-    """Finite graded poset of faces ordered by inclusion of supports."""
+    """Finite graded poset of faces ordered by inclusion of supports; covers(),
+    is_graded() and iso all read one cached pairwise scan of it, _scan."""
 
     def __init__(self, dims: Mapping[Face, int]):
         self._dims: Dict[Face, int] = {}
@@ -67,15 +69,29 @@ class FacePoset:
     def has_unique_max(self) -> bool:
         return len(self.maximal_faces()) == 1
 
-    def covers(self) -> Tuple[Tuple[Face, Face], ...]:
-        """All (lower, upper) pairs with inclusion and dimension gap one."""
-        out = []
+    @cached_property
+    def _scan(self):
+        """(up, down, monotone): each face's covers in face order, and whether
+        every strict inclusion raises the dimension."""
+        up: Dict[Face, list] = {f: [] for f in self._faces}
+        down: Dict[Face, list] = {f: [] for f in self._faces}
+        monotone = True
         for f in self._faces:
             df = self._dims[f]
             for g in self._faces:
-                if self._dims[g] == df + 1 and f < g:
-                    out.append((f, g))
-        return tuple(out)
+                if f < g:
+                    dg = self._dims[g]
+                    if dg <= df:
+                        monotone = False
+                    elif dg == df + 1:
+                        up[f].append(g)
+                        down[g].append(f)
+        return up, down, monotone
+
+    def covers(self) -> Tuple[Tuple[Face, Face], ...]:
+        """All (lower, upper) pairs with inclusion and dimension gap one."""
+        up = self._scan[0]
+        return tuple((f, g) for f in self._faces for g in up[f])
 
     def is_graded(self) -> bool:
         """Operational grading check used before isomorphism testing.
@@ -84,22 +100,11 @@ class FacePoset:
         face needs a subface one dimension down, and every non-maximal
         face a superface one dimension up.
         """
-        by_dim: Dict[int, list] = {}
-        for f, d in self._dims.items():
-            by_dim.setdefault(d, []).append(f)
-        if not self._faces:
-            return True
-        top = self.dim
-        lo = min(self._dims.values())
-        for f, d in self._dims.items():
-            for g, e in self._dims.items():
-                if f < g and d >= e:
-                    return False
-            if d > lo and not any(g < f for g in by_dim.get(d - 1, ())):
-                return False
-            if d < top and not any(f < g for g in by_dim.get(d + 1, ())):
-                return False
-        return True
+        up, down, monotone = self._scan
+        top, lo = self.dim, min(self._dims.values(), default=0)
+        return monotone and all(
+            (down[f] or d == lo) and (up[f] or d == top) for f, d in self._dims.items()
+        )
 
 
 EMPTY = FacePoset({})
@@ -189,15 +194,6 @@ def slice_lattice(n_plus: int, n_minus: int, n_zero: int) -> FacePoset:
     return FacePoset(dims)
 
 
-def _cover_maps(p: FacePoset):
-    up: Dict[Face, Tuple[Face, ...]] = {f: () for f in p.faces}
-    down: Dict[Face, Tuple[Face, ...]] = {f: () for f in p.faces}
-    for lo, hi in p.covers():
-        up[lo] = up[lo] + (hi,)
-        down[hi] = down[hi] + (lo,)
-    return up, down
-
-
 def _refine_colors(p: FacePoset, up, down) -> Dict[Face, int]:
     # Weisfeiler-Leman style refinement on the cover graph.
     color = {f: p.dim_of(f) for f in p.faces}
@@ -230,8 +226,8 @@ def iso(p: FacePoset, q: FacePoset) -> bool:
         return False
     if not p.is_graded() or not q.is_graded():
         raise ValueError("isomorphism testing needs graded posets")
-    up_p, dn_p = _cover_maps(p)
-    up_q, dn_q = _cover_maps(q)
+    up_p, dn_p, _ = p._scan
+    up_q, dn_q, _ = q._scan
     col_p = _refine_colors(p, up_p, dn_p)
     col_q = _refine_colors(q, up_q, dn_q)
     if sorted(col_p.values()) != sorted(col_q.values()):

@@ -514,13 +514,18 @@ def _counts_nb(m, N: Optional[int], b: Optional[int]) -> tuple[tuple[int, ...], 
     return counts, N, b
 
 
-def _weight_args(m, r, N: Optional[int], b: Optional[int]):
-    """Checked (counts, N, b, r) for W_plus and W_minus."""
+def _weight(m, r, N: Optional[int], b: Optional[int], sign: int) -> int:
+    """W_plus (sign 1, k = 0..b) or W_minus (sign -1, k = 1..b+1)."""
     counts, N, b = _counts_nb(m, N, b)
     r = r if isinstance(r, ExpansionTuple) else ExpansionTuple(r)
     if len(r) != b + 1:
         raise ValueError(f"expansion needs {b + 1} entries, got {len(r)}")
-    return counts, N, b, r
+    rsum = r.rsum
+    rho = tuple(itertools.accumulate(r, initial=0))
+    size = 2 * N * (b + 1)
+    ks = range(b + 1) if sign > 0 else range(1, b + 2)
+    return sum(counts[(2 * tau * (b + 1) + sign * k) % size] * (2 * tau * rsum + sign * rho[k])
+               for tau in range(N) for k in ks)
 
 
 def W_plus(m, r, N: Optional[int] = None, b: Optional[int] = None) -> int:
@@ -529,28 +534,12 @@ def W_plus(m, r, N: Optional[int] = None, b: Optional[int] = None) -> int:
     m must be in the all-ones indexing of length 2N(b+1); r supplies the
     weights rho_k = r_1 + ... + r_k.
     """
-    counts, N, b, r = _weight_args(m, r, N, b)
-    rsum = r.rsum
-    rho = tuple(itertools.accumulate(r, initial=0))
-    size = 2 * N * (b + 1)
-    total = 0
-    for tau in range(N):
-        for k in range(b + 1):
-            total += counts[(2 * tau * (b + 1) + k) % size] * (2 * tau * rsum + rho[k])
-    return total
+    return _weight(m, r, N, b, 1)
 
 
 def W_minus(m, r, N: Optional[int] = None, b: Optional[int] = None) -> int:
     """Sum of m[2*tau*(b+1) - k] * (2*tau*rsum - rho_k) over tau and k = 1..b+1."""
-    counts, N, b, r = _weight_args(m, r, N, b)
-    rsum = r.rsum
-    rho = tuple(itertools.accumulate(r, initial=0))
-    size = 2 * N * (b + 1)
-    total = 0
-    for tau in range(N):
-        for k in range(1, b + 2):
-            total += counts[(2 * tau * (b + 1) - k) % size] * (2 * tau * rsum - rho[k])
-    return total
+    return _weight(m, r, N, b, -1)
 
 
 # The weight is linear in the tuple: W_plus + W_minus == s2 * rsum +
@@ -746,6 +735,8 @@ def iter_strata(
     """All canonical stratum labels, optionally fixing b or filtering admissible."""
     if n < 1 or N < 1:
         raise ValueError("need n >= 1 and N >= 1")
+    if b is not None and not 0 <= b <= n:
+        raise ValueError(f"b must lie in 0..n, got b={b} with n={n}")
     for bb in range(n + 1) if b is None else (b,):
         for shape in _shapes(n, bb):
             chart = _chart_facts(n, _shape_vertices(shape))

@@ -279,16 +279,12 @@ def _c09(max_n, max_N) -> str:
                     occ = st.occupancy(s)
                     direct = st.is_admissible(s)
                     window = st.r_exists(occ)
-                    _need(
-                        direct == window,
-                        "combinatorial and window oracles disagree on %s"
-                        % st.format_stratum(s),
-                    )
+                    if direct != window:  # str(s) is its literal, made only on failure
+                        raise CriterionFailure(
+                            "combinatorial and window oracles disagree on %s" % s)
                     r = st.find_admissible_r(occ, bound=bound)
-                    _need(
-                        (r is not None) == direct,
-                        "bounded scan disagrees on %s" % st.format_stratum(s),
-                    )
+                    if (r is not None) != direct:
+                        raise CriterionFailure("bounded scan disagrees on %s" % s)
                     if r is not None:
                         _need(
                             len(r) == b + 1 and min(r) >= 1,

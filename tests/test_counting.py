@@ -15,6 +15,10 @@ def test_deepest_cell_recursion():
         ct.a(0)
 
 
+def test_deepest_cell_recursion_runs_without_deep_calls():
+    assert ct.a(1001) == 4 * ct.a(999) + 4 * ct.ballot(999)
+
+
 def test_a_matches_enumeration():
     for n in range(1, 9):
         assert ct.a(n) == len(lc.enumerate_complete_admissible(n))

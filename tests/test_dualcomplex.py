@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from collections import Counter
@@ -395,6 +396,120 @@ def test_automorphism_orders():
         dc.has_automorphism(dc.build(3, 1), 1)
 
 
+def reference_has_automorphism(cx, order):
+    """Reference: the same search in one loop, checking each new image is unused."""
+    if order < 2:
+        raise ValueError("order must be at least 2")
+    tri_verts, edge_by_pair = dc._triangulation_tables(cx)
+    tris = sorted(tri_verts)
+    if not tris:
+        return False
+    t0 = tris[0]
+    for t1 in tris:
+        for image in itertools.permutations(tri_verts[t1]):
+            vmap = dict(zip(tri_verts[t0], image))
+            tmap = {t0: t1}
+            queue = [t0]
+            good = True
+            while queue and good:
+                t = queue.pop()
+                ti = tmap[t]
+                for pair in itertools.combinations(tri_verts[t], 2):
+                    e = edge_by_pair[frozenset(pair)]
+                    ipair = frozenset(vmap[v] for v in pair)
+                    ei = edge_by_pair.get(ipair)
+                    if ei is None or len(cx.up[e]) != len(cx.up[ei]):
+                        good = False
+                        break
+                    nbrs = [x for x in cx.up[e] if x != t]
+                    inbrs = [x for x in cx.up[ei] if x != ti]
+                    if not nbrs:
+                        continue
+                    tn, tni = nbrs[0], inbrs[0]
+                    third = next(v for v in tri_verts[tn] if v not in pair)
+                    ithird = next(v for v in tri_verts[tni] if v not in ipair)
+                    if third in vmap:
+                        if vmap[third] != ithird:
+                            good = False
+                            break
+                    elif ithird in vmap.values():
+                        good = False
+                        break
+                    else:
+                        vmap[third] = ithird
+                    if tn in tmap:
+                        if tmap[tn] != tni:
+                            good = False
+                            break
+                    else:
+                        tmap[tn] = tni
+                        queue.append(tn)
+            if not good or len(tmap) != len(tris):
+                continue
+            if len(set(vmap.values())) != len(vmap):
+                continue
+            if dc._permutation_order(vmap) == order:
+                return True
+    return False
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error is part of the behaviour compared
+        return type(exc), str(exc)
+
+
+def _digon(cx, with_triangle=True):
+    """Two edges between the same two vertices, both in one 2-cell if with_triangle."""
+    t, (e1, e2), (a, b) = cx.by_dim[2][0], cx.by_dim[1][:2], cx.by_dim[0][:2]
+    incidence = {(a.id, e1.id), (b.id, e1.id), (a.id, e2.id), (b.id, e2.id)}
+    if with_triangle:
+        return (a, b, e1, e2, t), incidence | {(e1.id, t.id), (e2.id, t.id)}
+    return (a, b, e1, e2), incidence
+
+
+def _book(cx):
+    """Three triangles (a, b, c_i) on one edge ab, each c_i joined to a and b."""
+    (a, b, *cs), (ab, *es), ts = cx.by_dim[0][:5], cx.by_dim[1][:7], cx.by_dim[2][:3]
+    incidence = {(a.id, ab.id), (b.id, ab.id)}
+    for c, ac, bc, t in zip(cs, es[0::2], es[1::2], ts):
+        incidence |= {(a.id, ac.id), (c.id, ac.id), (b.id, bc.id), (c.id, bc.id),
+                      (ab.id, t.id), (ac.id, t.id), (bc.id, t.id)}
+    return (a, b, *cs, ab, *es, *ts), incidence
+
+
+def _without_a_triangle(cx):
+    victim = cx.by_dim[2][0].id
+    return (tuple(c for c in cx.cells if c.id != victim),
+            frozenset(p for p in cx.incidence if victim not in p))
+
+
+def _perturbed(N, perturb):
+    cells, incidence = perturb(dc.build(3, N))
+    return dc.DualComplex(3, N, tuple(cells), frozenset(incidence))
+
+
+AUTOMORPHISM_CASES = (
+    [pytest.param(dc.build, (3, N), id="build(3,%d)" % N) for N in range(1, 7)]
+    + [pytest.param(_perturbed, (2, f), id=f.__name__) for f in (
+        _third_triangle, _boundary_edge_in_a_second_triangle, _boundary_edge_loses_an_end,
+        _three_edges_at_a_vertex, _vertex_without_cofaces)]
+    + [pytest.param(_perturbed, (3, _without_a_triangle), id="build(3,3)-triangle"),
+       pytest.param(_perturbed, (1, _book), id="three-triangles-on-one-edge"),
+       pytest.param(_perturbed, (1, _digon), id="digon"),
+       pytest.param(_perturbed, (1, lambda cx: _digon(cx, False)), id="two-edges-one-pair")]
+)
+
+
+@pytest.mark.parametrize("make, args", AUTOMORPHISM_CASES)
+def test_automorphism_search_matches_reference(make, args):
+    cx = make(*args)
+    for order in range(2, 7):
+        got = _outcome(dc.has_automorphism, cx, order)
+        assert got == _outcome(reference_has_automorphism, cx, order)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -463,6 +578,14 @@ def test_tikz_export():
     assert "\\node" not in bare
     labeled = dc.export(cx, "tikz", labels=True).decode("ascii")
     assert labeled.count("\\node") == 6
+
+
+def test_off_export_rejects_a_digon():
+    cells, incidence = _digon(dc.build(3, 1))
+    digon = dc.parse_complex(dc.export(dc.DualComplex(3, 1, cells, frozenset(incidence)), "json"))
+    assert dc.verify_disk(digon).ok
+    with pytest.raises(ValueError, match=r"^triangle .* is not on three vertices$"):
+        dc.export(digon, "off")
 
 
 def test_layout_exports_are_deterministic():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as hs
+from hypothesis import example, given, strategies as hs
 
 from kdc import polytope as pt
 
@@ -83,6 +83,39 @@ def test_graded():
 def test_covers_are_dimension_steps():
     for low, high in pt.slice_lattice(2, 1, 1).covers():
         assert low < high
+
+
+def reference_covers(p):
+    """Reference: covers by a direct double loop over the faces."""
+    return tuple(
+        (f, g) for f in p.faces for g in p.faces if p.dim_of(g) == p.dim_of(f) + 1 and f < g
+    )
+
+
+def reference_is_graded(p):
+    """Reference: the grading check with its own scans per face."""
+    dims = {f: p.dim_of(f) for f in p.faces}
+    if not dims:
+        return True
+    top, lo = max(dims.values()), min(dims.values())
+    for f, d in dims.items():
+        if any(f < g and d >= e for g, e in dims.items()):
+            return False
+        if d > lo and not any(g < f for g, e in dims.items() if e == d - 1):
+            return False
+        if d < top and not any(f < g for g, e in dims.items() if e == d + 1):
+            return False
+    return True
+
+
+@given(hs.dictionaries(hs.frozensets(hs.integers(0, 3), min_size=1), hs.integers(0, 4)))
+@example({frozenset({1}): 0, frozenset({1, 2}): 1, frozenset({3}): 1})  # no lower cover
+@example({frozenset({1}): 0, frozenset({1, 2}): 1, frozenset({3}): 0})  # no upper cover
+@example({frozenset({1}): 1, frozenset({1, 2}): 1})  # inclusion keeps the dimension
+def test_scan_matches_reference_covers_and_grading(dims):
+    p = pt.FacePoset(dims)
+    assert p.covers() == reference_covers(p)
+    assert p.is_graded() == reference_is_graded(p)
 
 
 def test_iso_positive_across_labels():

@@ -455,6 +455,9 @@ def test_iter_strata_filters():
     assert len(adm) == 19
     with pytest.raises(ValueError):
         list(st.iter_strata(0, 1))
+    for b in (-1, 5):
+        with pytest.raises(ValueError, match=r"^b must lie in 0\.\.n, got b=%d with n=3$" % b):
+            list(st.iter_strata(3, 1, b=b))
 
 
 def test_enumerate_admissible_guards():
