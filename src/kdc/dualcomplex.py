@@ -78,7 +78,7 @@ def _make_cell(s: st.Stratum, k: Optional[int] = None) -> Cell:
     expected = shape[0] - 1 if cls is Classification.NARROW else sum(shape) - 2
     if dim != expected:
         raise InvariantError(
-            "cell dimension %d does not match lattice shape %r" % (dim, shape)
+            "cell dimension %d does not match lattice shape %r of %s" % (dim, shape, cid)
         )
     return Cell(cid, s, k, dim, cls, shape)
 
@@ -214,7 +214,7 @@ def delta_K(top: st.Stratum, k: Optional[int] = None) -> LocalComplex:
     simplex cut by the neutral line.
     """
     if top.b != top.n:
-        raise ValueError("need a deepest stratum (b = n)")
+        raise ValueError("need a deepest stratum (b = n), got %s" % st.format_stratum(top))
     center = _make_cell(top, k)
     k = center.k
 
@@ -260,9 +260,9 @@ def local_chart(v: st.Stratum) -> StarReport:
     if v.n != 3:
         raise ValueError("local charts are defined for n = 3")
     if not _is_type4(v):
-        raise ValueError("not a type-4 vertex: x-values differ")
+        raise ValueError("not a type-4 vertex: x-values differ in %s" % st.format_stratum(v))
     if not st.is_admissible(v) or st.cell_dimension(v) != 0:
-        raise ValueError("not an admissible vertex stratum")
+        raise ValueError("not an admissible vertex stratum: %s" % st.format_stratum(v))
     cx = build(3, v.N)
     cells = cx.by_stratum.get(v)
     if not cells:
@@ -497,19 +497,24 @@ def _triangulation_tables(cx: DualComplex):
     for e in cx.by_dim.get(1, ()):
         ends = frozenset(cx.down[e.id])
         if len(ends) != 2 or ends in edge_by_pair:
-            raise ValueError("complex is not a simple triangulation")
+            raise ValueError("complex is not a simple triangulation at edge %s" % e.id)
+        if len(cx.up[e.id]) > 2:
+            raise ValueError("edge %s lies in %d triangles" % (e.id, len(cx.up[e.id])))
         edge_by_pair[ends] = e.id
+    for t in tri_verts:  # three simple edges on three corners join its three corner pairs
+        if len(cx.down[t]) != 3 or any(cx.by_id[e].dim != 1 for e in cx.down[t]):
+            raise ValueError("triangle %s is not bounded by three edges" % t)
     return tri_verts, edge_by_pair
 
 
 def has_automorphism(cx: DualComplex, order: int) -> bool:
     """Search for an incidence automorphism of the given exact order.
 
-    Works on n = 3 simple triangulations: a map of one triangle onto
-    another propagates uniquely across shared edges, so all candidates
-    can be enumerated from seed correspondences.  The seeds map the first
-    triangle onto each triangle in id order, corners in every order;
-    across an edge only the first other triangle on each side is followed.
+    Works on n = 3 simple triangulations with at most two triangles on an
+    edge and refuses any other complex, naming a cell.  A map of one
+    triangle onto another propagates uniquely across shared edges, so the
+    seeds, the first triangle onto each triangle in id order with corners
+    in every order, enumerate all candidates.
     """
     if order < 2:
         raise ValueError("order must be at least 2")

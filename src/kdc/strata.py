@@ -182,21 +182,18 @@ def _chart_classes(chart: LineChart) -> list[tuple[int, int, int]]:
     verts = chart.vertices
     b = len(verts) - 1
     out = []
-    for i in range(b, 0, -1):
-        dx = verts[i].x - verts[i - 1].x
-        dy = verts[i].y - verts[i - 1].y
-        level = b + 1 - i
-        if (dx + dy) // 2:
+
+    def split(level, dx, dy):  # a step of dx points with net sign dy
+        if dx + dy:
             out.append((level, 1, (dx + dy) // 2))
-        if (dx - dy) // 2:
+        if dx - dy:
             out.append((level, -1, (dx - dy) // 2))
+
+    for i in range(b, 0, -1):
+        split(b + 1 - i, verts[i].x - verts[i - 1].x, verts[i].y - verts[i - 1].y)
     if chart.n - verts[-1].x:
         out.append((0, 0, chart.n - verts[-1].x))
-    x0, y0 = verts[0].x, verts[0].y
-    if (x0 + y0) // 2:
-        out.append((b + 1, 1, (x0 + y0) // 2))
-    if (x0 - y0) // 2:
-        out.append((b + 1, -1, (x0 - y0) // 2))
+    split(b + 1, verts[0].x, verts[0].y)
     return out
 
 
@@ -212,31 +209,24 @@ def stratum_from_chart(chart: LineChart, tau_assignment, N: int) -> Stratum:
     if not report:
         raise ValueError(f"invalid chart: {report.reason}")
     classes = _chart_classes(chart)
-    b = len(chart.vertices) - 1
-    points = []
-    if isinstance(tau_assignment, Mapping):
-        unknown = set(tau_assignment) - {(lv, sg) for lv, sg, _ in classes}
-        if any(len(tuple(tau_assignment[key])) for key in unknown):
-            raise ValueError(f"residues supplied for absent classes {sorted(unknown)}")
-        for level, sign, count in classes:
-            taus = tuple(tau_assignment.get((level, sign), ()))
-            if len(taus) != count:
-                raise ValueError(
-                    f"class (level={level}, sign={sign:+d}) needs {count} residues, got {len(taus)}"
-                )
-            points += [(t, sign * level) for t in taus]
-    else:
+    if not isinstance(tau_assignment, Mapping):
         flat = tuple(tau_assignment)
-        at = 0
-        for level, sign, count in classes:
-            taus = flat[at : at + count]
-            at += count
-            if len(taus) != count:
-                raise ValueError(f"need {sum(c for _, _, c in classes)} residues, got {len(flat)}")
-            points += [(t, sign * level) for t in taus]
-        if at != len(flat):
-            raise ValueError(f"need {at} residues, got {len(flat)}")
-    return Stratum(chart.n, N, b, points)
+        if len(flat) != chart.n:  # the classes hold every point
+            raise ValueError(f"need {chart.n} residues, got {len(flat)}")
+        rest = iter(flat)
+        tau_assignment = {(lv, sg): tuple(itertools.islice(rest, c)) for lv, sg, c in classes}
+    unknown = set(tau_assignment) - {(lv, sg) for lv, sg, _ in classes}
+    if any(len(tuple(tau_assignment[key])) for key in unknown):
+        raise ValueError(f"residues supplied for absent classes {sorted(unknown)}")
+    points = []
+    for level, sign, count in classes:
+        taus = tuple(tau_assignment.get((level, sign), ()))
+        if len(taus) != count:
+            raise ValueError(
+                f"class (level={level}, sign={sign:+d}) needs {count} residues, got {len(taus)}"
+            )
+        points += [(t, sign * level) for t in taus]
+    return Stratum(chart.n, N, len(chart.vertices) - 1, points)
 
 
 def tau_admissible(s: Stratum, k: int) -> bool:
@@ -270,7 +260,7 @@ def classify_stratum(s: Stratum, k: Optional[int] = None) -> Classification:
         if k not in ks:
             raise ValueError(f"k={k} is not a valid neutral level for {chart}")
     elif not valid_levels(s):
-        raise ValueError("inadmissible stratum has no classification")
+        raise ValueError(f"inadmissible stratum has no classification: {format_stratum(s)}")
     return Classification.WIDE if wide else Classification.NARROW
 
 
@@ -307,7 +297,7 @@ def smooth(s: Stratum, j: int, mode: str = "hilbert") -> Optional[Stratum]:
     if not 1 <= j <= s.b + 1:
         raise ValueError(f"smoothing level must lie in 1..{s.b + 1}, got {j}")
     if s.b == 0:
-        raise ValueError("a b=0 stratum has no level left to smooth")
+        raise ValueError(f"a b=0 stratum has no level left to smooth: {format_stratum(s)}")
     verts = _facts(s)[0].vertices
     full = (1 << len(verts)) - 1
     out = _collapse_face(s, verts, full & ~(1 << (s.b + 1 - j)), 0)[0]
@@ -374,7 +364,7 @@ def face_items(
     elif k in valid_levels(s):
         ks = (k,)
     else:
-        raise ValueError("k=%d is not a neutral level of this stratum" % k)
+        raise ValueError(f"k={k} is not a neutral level of this stratum {format_stratum(s)}")
     verts = _facts(s)[0].vertices
     items = set()
     for k in ks:
@@ -403,7 +393,7 @@ def specializations(s: Stratum) -> list[Stratum]:
     stratum is an isolated point, so the list is empty.
     """
     if not is_admissible(s):
-        raise ValueError("inadmissible stratum")
+        raise ValueError(f"inadmissible stratum: {format_stratum(s)}")
     if s.n < 2:
         return []
     # dualcomplex imports this module, so build is imported on first use
@@ -682,69 +672,47 @@ def find_admissible_r(
 # --- enumeration -----------------------------------------------------------
 
 
-def _level_splits(budget: int, levels: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Sign splits (positive, negative) per level, each totalling >= 1."""
-    if levels == 0:
-        yield ()
-        return
-    for total in range(1, budget - (levels - 1) + 1):
-        for p in range(total + 1):
-            head = ((p, total - p),)
-            for rest in _level_splits(budget - total, levels - 1):
-                yield head + rest
+def _canonical_charts(n: int, b: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Canonical vertex tuples of the charts on n points with b+1 vertices.
 
+    The first vertex (c, c) sits on the diagonal, c = 0..n-b; each step
+    down one level adds (t, 2p - t) for t >= 1 points, p of them
+    positive, t ascending and then p = 0..t.
+    """
 
-def _shapes(n: int, b: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...], int]]:
-    """Point counts (top level, splits for levels b..1, level 0)."""
-    for c_top in range(n - b + 1):
-        for splits in _level_splits(n - c_top, b):
-            used = c_top + sum(p + q for p, q in splits)
-            yield c_top, splits, n - used
+    def steps(verts, left, levels):
+        if not levels:
+            yield verts
+            return
+        x, y = verts[-1]
+        for t in range(1, left - levels + 2):
+            for p in range(t + 1):
+                yield from steps(verts + ((x + t, y + 2 * p - t),), left - t, levels - 1)
 
-
-def _shape_vertices(shape) -> tuple[tuple[int, int], ...]:
-    c_top, splits, _ = shape
-    x = y = c_top
-    verts = [(x, y)]
-    for p, q in splits:
-        x += p + q
-        y += p - q
-        verts.append((x, y))
-    return tuple(verts)
-
-
-def _shape_classes(shape) -> list[tuple[int, int, int]]:
-    c_top, splits, c0 = shape
-    b = len(splits)
-    out = []
-    if c_top:
-        out.append((b + 1, 1, c_top))
-    for i, (p, q) in enumerate(splits):
-        if p:
-            out.append((b - i, 1, p))
-        if q:
-            out.append((b - i, -1, q))
-    if c0:
-        out.append((0, 0, c0))
-    return out
+    for c in range(n - b + 1):
+        yield from steps(((c, c),), n - c, b)
 
 
 def iter_strata(
     n: int, N: int, b: Optional[int] = None, admissible_only: bool = False
 ) -> Iterator[Stratum]:
-    """All canonical stratum labels, optionally fixing b or filtering admissible."""
+    """All canonical stratum labels, optionally fixing b or filtering admissible.
+
+    Yield order: b ascending, then charts in _canonical_charts order, then
+    the itertools.product of the residue multisets of the chart's classes,
+    taken top level first and positives first within a level.
+    """
     if n < 1 or N < 1:
         raise ValueError("need n >= 1 and N >= 1")
     if b is not None and not 0 <= b <= n:
         raise ValueError(f"b must lie in 0..n, got b={b} with n={n}")
     for bb in range(n + 1) if b is None else (b,):
-        for shape in _shapes(n, bb):
-            chart = _chart_facts(n, _shape_vertices(shape))
-            ks = chart[1]
-            if admissible_only and not ks:
+        for verts in _canonical_charts(n, bb):
+            facts = _chart_facts(n, verts)
+            if admissible_only and not facts[1]:
                 continue
-            targets = {(-k) % N for k in ks}
-            classes = _shape_classes(shape)
+            targets = {(-k) % N for k in facts[1]}
+            classes = sorted(_chart_classes(facts[0]), reverse=True)
             # per class: (residue sum, points) for each residue multiset
             pools = [
                 [
@@ -759,7 +727,7 @@ def iter_strata(
                 if admissible_only and sum(t for t, _ in combo) % N not in targets:
                     continue
                 points = tuple(p for i in order for p in combo[i][1])
-                yield Stratum._canonical(n, N, bb, points, chart)
+                yield Stratum._canonical(n, N, bb, points, facts)
 
 
 @functools.lru_cache(maxsize=None)

@@ -510,12 +510,55 @@ def test_automorphism_search_matches_reference(make, args):
         assert got == _outcome(reference_has_automorphism, cx, order)
 
 
+def _without_an_edge_of_a_triangle(cx, vertex_instead=False):
+    edge, tri = "X{n=3;N=1;b=1;[(0,0),(0,+1),(0,-1)]}", "X{n=3;N=1;b=3;[(0,+1),(0,+2),(0,-3)]}"
+    assert (edge, tri) in cx.incidence
+    extra = {(cx.by_dim[0][0].id, tri)} if vertex_instead else set()
+    return cx.cells, cx.incidence - {(edge, tri)} | extra
+
+
+@pytest.mark.parametrize("perturb, message", [
+    (_book, r"^edge X\{.*\} lies in 3 triangles$"),
+    (_without_an_edge_of_a_triangle,
+     r"^triangle X\{.*\} is not bounded by three edges$"),
+    (lambda cx: _without_an_edge_of_a_triangle(cx, True),
+     r"^triangle X\{.*\} is not bounded by three edges$"),
+    (lambda cx: _digon(cx, False), r"^complex is not a simple triangulation at edge X\{.*\}$"),
+], ids=["three-triangles-on-one-edge", "triangle-without-an-edge", "triangle-with-a-vertex-for-an-edge",
+        "two-edges-one-pair"])
+def test_automorphism_search_refuses_what_it_cannot_search(perturb, message):
+    cx = _perturbed(1, perturb)
+    for order in range(2, 7):
+        with pytest.raises(ValueError, match=message):
+            dc.has_automorphism(cx, order)
+
+
+@pytest.mark.parametrize("fn, arg, prefix", [
+    (dc.delta_K, mk(3, 1, 2, (1, 2, 3)), "need a deepest stratum (b = n), got "),
+    (dc.local_chart, mk(3, 1, 0, (0, 1, 1)), "not a type-4 vertex: x-values differ in "),
+    (dc.local_chart, mk(3, 2, 0, (0, 0, 0), (1, 0, 0)), "not an admissible vertex stratum: "),
+], ids=["delta_K", "local_chart-type4", "local_chart-vertex"])
+def test_errors_name_their_stratum(fn, arg, prefix):
+    with pytest.raises(ValueError) as err:
+        fn(arg)
+    assert str(err.value) == prefix + st.format_stratum(arg)
+
+
+def test_cell_invariant_names_its_cell(monkeypatch):
+    monkeypatch.setattr(st, "cell_dimension", lambda s: 7)
+    with pytest.raises(InvariantError) as err:
+        dc._make_cell(D123)
+    assert str(err.value) == (
+        "cell dimension 7 does not match lattice shape (1, 1, 2) of " + st.format_stratum(D123)
+    )
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
 
 def test_json_round_trip():
-    for n, N in ((2, 3), (3, 1), (3, 2)):
+    for n, N in ((2, 3), (3, 1), (3, 2), (4, 2), (5, 1)):
         cx = dc.build(n, N)
         again = dc.parse_complex(dc.export(cx, "json"))
         assert again == cx

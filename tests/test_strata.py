@@ -105,6 +105,9 @@ def test_stratum_from_chart_flat():
     assert s.b == 3
     assert st.chart_of(s) == st.chart_of(D12m3)
     assert s.tau_sum == 0
+    for short_or_long in ((0, 1), (0, 1, 1, 0)):
+        with pytest.raises(ValueError, match=r"^need 3 residues, got %d$" % len(short_or_long)):
+            st.stratum_from_chart(st.chart_of(D12m3), short_or_long, N=2)
 
 
 def test_stratum_from_chart_mapping():
@@ -467,6 +470,18 @@ def test_enumerate_admissible_guards():
         st.enumerate_admissible(3, 0)
 
 
+@pytest.mark.parametrize("fn, args, prefix", [
+    (st.classify_stratum, (mk(3, 1, 1, (1, 2, 2)),), "inadmissible stratum has no classification: "),
+    (st.face_items, (D123, 0), "k=0 is not a neutral level of this stratum "),
+    (st.specializations, (mk(3, 1, 1, (1, 2, 2)),), "inadmissible stratum: "),
+    (st.smooth, (A011, 1), "a b=0 stratum has no level left to smooth: "),
+], ids=["classify_stratum", "face_items", "specializations", "smooth"])
+def test_errors_name_their_stratum(fn, args, prefix):
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    assert str(err.value) == prefix + st.format_stratum(args[0])
+
+
 # ---------------------------------------------------------------------------
 # trusted construction and cached chart facts
 
@@ -536,6 +551,36 @@ def test_codim_one_face_items_filter_all_faces(engine_strata):
                 if st.cell_dimension(f) == st.cell_dimension(s) - 1
             }
             assert st.face_items(s, k, codim=1) == want
+
+
+def test_chart_classes_slice_flat_residues(engine_strata):
+    """The flat residues of s, read in _chart_classes order, rebuild s."""
+    for s in dict.fromkeys(engine_strata):
+        by_class = {}
+        for p in s.points:
+            by_class.setdefault((abs(p.x), (p.x > 0) - (p.x < 0)), []).append(p.tau)
+        chart = st.chart_of(s)
+        flat = [t for level, sign, _ in st._chart_classes(chart) for t in by_class[level, sign]]
+        assert st.stratum_from_chart(chart, flat, s.N) == s
+
+
+def test_canonical_charts_are_the_charts_of_strata():
+    for n in range(1, 6):
+        points = [(x, y) for x in range(n + 1) for y in range(-x, x + 1, 2)]
+        for b in range(n + 1):
+            charts = list(st._canonical_charts(n, b))
+            assert len(set(charts)) == len(charts)
+            # every valid chart with b+1 vertices whose first vertex is on the diagonal
+            brute = {
+                verts for verts in itertools.combinations(points, b + 1)
+                if verts[0][0] == verts[0][1] and validate(LineChart(n, verts)).ok
+            }
+            assert set(charts) == brute
+            fresh = {
+                tuple((v.x, v.y) for v in st.chart_of(st.Stratum(n, 1, b, s.points)).vertices)
+                for s in st.iter_strata(n, 1, b)
+            }
+            assert fresh == brute
 
 
 def test_iter_strata_yield_order():
