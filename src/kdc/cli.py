@@ -81,31 +81,27 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         print("enumerate needs --n at least 2", file=sys.stderr)
         return 2
     with _open_out(args.out) as sink:
-        groups = st.enumerate_admissible(args.n, args.N)
+        groups = st.enumerate_admissible(args.n, args.N)  # top dimension first
         rows = []
-        for dim in sorted(groups, reverse=True):
-            for s in groups[dim]:
-                rows.append(
-                    (
-                        st.format_stratum(s),
-                        s.b,
-                        str(st.classify_stratum(s)),
-                        st.cell_dimension(s),
-                        st.quotient_dimension(s, delta=args.delta),
-                        lc.format_chart(st.chart_of(s)),
-                    )
+        if args.fmt == "csv" or not args.quiet:  # text --quiet prints the summary alone
+            rows = [
+                (
+                    st.format_stratum(s),
+                    s.b,
+                    str(st.classify_stratum(s)),
+                    st.cell_dimension(s),
+                    st.quotient_dimension(s, delta=args.delta),
+                    lc.format_chart(st.chart_of(s)),
                 )
+                for group in groups.values() for s in group
+            ]
         if args.fmt == "csv":
             writer = csv.writer(sink)
             writer.writerow(("id", "b", "class", "dim", "qdim", "chart"))
             writer.writerows(rows)
             return 0
-        lines = []
-        if not args.quiet:
-            lines.extend("\t".join(str(field) for field in row) for row in rows)
-        lines.append(" ".join(
-            "%d:%d" % (dim, len(groups[dim])) for dim in sorted(groups, reverse=True)
-        ))
+        lines = ["\t".join(str(field) for field in row) for row in rows]
+        lines.append(" ".join("%d:%d" % (dim, len(group)) for dim, group in groups.items()))
         sink.write("\n".join(lines) + "\n")
     return 0
 

@@ -157,24 +157,20 @@ class DualComplex:
 def build(n: int, N: int) -> DualComplex:
     """Assemble the dual complex of all admissible cells at (n, N)."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ValueError("need n >= 2, got n=%d" % n)
     if N < 1:
-        raise ValueError("need N >= 1")
-    index: Dict[Tuple[tuple, int], str] = {}
-    cells = []
-    for s in st._admissible_flat(n, N):
-        for k in st.valid_levels(s):
-            cell = _make_cell(s, k)
-            index[(st.canonical_key(s), k)] = cell.id
-            cells.append(cell)
+        raise ValueError("need N >= 1, got N=%d" % N)
+    cells = [_make_cell(s, k) for s in st._admissible_flat(n, N) for k in st.valid_levels(s)]
+    index = {(c.stratum, c.k): c.id for c in cells}
 
     incidence = set()
     for c in cells:
-        for face, fk in st.face_items(c.stratum, c.k, codim=1):
-            fid = index.get((st.canonical_key(face), fk))
+        for item in st.face_items(c.stratum, c.k, codim=1):
+            fid = index.get(item)
             if fid is None:
                 raise InvariantError(
-                    "face %s missing from enumeration" % st.format_stratum(face)
+                    "face %s missing from enumeration, a face of %s"
+                    % (st.format_stratum(item[0]), c.id)
                 )
             incidence.add((fid, c.id))
 
@@ -258,7 +254,7 @@ class StarReport:
 def local_chart(v: st.Stratum) -> StarReport:
     """Closed star of a type-4 vertex (all x equal) in its n = 3 complex."""
     if v.n != 3:
-        raise ValueError("local charts are defined for n = 3")
+        raise ValueError("local charts are defined for n = 3, got %s" % st.format_stratum(v))
     if not _is_type4(v):
         raise ValueError("not a type-4 vertex: x-values differ in %s" % st.format_stratum(v))
     if not st.is_admissible(v) or st.cell_dimension(v) != 0:
@@ -448,7 +444,7 @@ def grow_rows(N: int) -> List[List[RowCenter]]:
     satisfy tau3 - tau1 = row.
     """
     if N < 1:
-        raise ValueError("N must be positive")
+        raise ValueError("N must be positive, got N=%d" % N)
     rows: List[List[RowCenter]] = []
     for k in range(N + 1):
         kind, taus = _row_start(k)
@@ -475,7 +471,9 @@ def grow_rows(N: int) -> List[List[RowCenter]]:
 def type4_vertices(cx: DualComplex) -> Tuple[Cell, ...]:
     """Vertex cells whose stratum has a single repeated x-value."""
     if cx.n != 3:
-        raise ValueError("type-4 vertices live in n = 3 complexes")
+        raise ValueError(
+            "type-4 vertices live in n = 3 complexes, got (n, N) = (%d, %d)" % (cx.n, cx.N)
+        )
     return tuple(c for c in cx.by_dim.get(0, ()) if _is_type4(c.stratum))
 
 
@@ -492,6 +490,10 @@ def _corners(cx: DualComplex, t: str) -> Tuple[str, str, str]:
 
 
 def _triangulation_tables(cx: DualComplex):
+    if cx.n != 3:
+        raise ValueError(
+            "automorphism search applies to n = 3 complexes, got (n, N) = (%d, %d)" % (cx.n, cx.N)
+        )
     tri_verts = {t.id: _corners(cx, t.id) for t in cx.by_dim.get(2, ())}
     edge_by_pair = {}
     for e in cx.by_dim.get(1, ()):
@@ -504,20 +506,24 @@ def _triangulation_tables(cx: DualComplex):
     for t in tri_verts:  # three simple edges on three corners join its three corner pairs
         if len(cx.down[t]) != 3 or any(cx.by_id[e].dim != 1 for e in cx.down[t]):
             raise ValueError("triangle %s is not bounded by three edges" % t)
+    for c in cx.by_dim.get(0, ()) + cx.by_dim.get(1, ()):  # the search maps triangles only
+        if not cx.up[c.id]:
+            raise ValueError("complex is not pure 2-dimensional at %s" % c.id)
     return tri_verts, edge_by_pair
 
 
 def has_automorphism(cx: DualComplex, order: int) -> bool:
     """Search for an incidence automorphism of the given exact order.
 
-    Works on n = 3 simple triangulations with at most two triangles on an
-    edge and refuses any other complex, naming a cell.  A map of one
-    triangle onto another propagates uniquely across shared edges, so the
-    seeds, the first triangle onto each triangle in id order with corners
-    in every order, enumerate all candidates.
+    Works on n = 3 simple triangulations with every vertex and edge in a
+    triangle and at most two triangles on an edge, and refuses any other
+    complex, naming a cell or (n, N).  A map of one triangle onto another
+    propagates uniquely across shared edges, so the seeds, the first
+    triangle onto each triangle in id order with corners in every order,
+    enumerate all candidates.
     """
     if order < 2:
-        raise ValueError("order must be at least 2")
+        raise ValueError("order must be at least 2, got %d" % order)
     tri_verts, edge_by_pair = _triangulation_tables(cx)
     tris = sorted(tri_verts)
     for t1 in tris:

@@ -19,7 +19,7 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvariantError
 
@@ -34,8 +34,7 @@ class Classification(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, order=True)
-class LatticeVertex:
+class LatticeVertex(NamedTuple):
     x: int
     y: int
 
@@ -51,11 +50,8 @@ class LineChart:
     vertices: tuple[LatticeVertex, ...]
 
     def __init__(self, n: int, vertices: Iterable) -> None:
-        vs = tuple(
-            v if isinstance(v, LatticeVertex) else LatticeVertex(*v) for v in vertices
-        )
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "vertices", tuple(LatticeVertex(*v) for v in vertices))
 
     def __str__(self) -> str:
         return format_chart(self)
@@ -140,7 +136,7 @@ def shift(chart: LineChart, p: int) -> LineChart:
     for v in chart.vertices:
         if abs(v.y + 2 * p) > v.x:
             raise ValueError(f"shift by {p} pushes {v} outside |y| <= x")
-    return LineChart(chart.n, tuple(LatticeVertex(v.x, v.y + 2 * p) for v in chart.vertices))
+    return LineChart(chart.n, ((v.x, v.y + 2 * p) for v in chart.vertices))
 
 
 def canonicalize(chart: LineChart) -> LineChart:
@@ -206,7 +202,7 @@ def _complete_charts(n: int) -> list[LineChart]:
         ys = [0]
         for d in steps:
             ys.append(ys[-1] + d)
-        charts.append(LineChart(n, tuple(LatticeVertex(i, y) for i, y in enumerate(ys))))
+        charts.append(LineChart(n, enumerate(ys)))
     return charts
 
 
@@ -257,8 +253,7 @@ def parse_chart(text: str) -> LineChart:
     if not m:
         raise ValueError(f"malformed chart literal: {text!r}")
     n = int(m.group(1))
-    vertices = tuple(LatticeVertex(int(x), int(y)) for x, y in _PAIR_RE.findall(m.group(2)))
-    return LineChart(n, vertices)
+    return LineChart(n, ((int(x), int(y)) for x, y in _PAIR_RE.findall(m.group(2))))
 
 
 def format_chart(chart: LineChart) -> str:

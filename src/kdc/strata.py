@@ -22,7 +22,7 @@ import itertools
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .linechart import (
     Classification,
@@ -32,18 +32,11 @@ from .linechart import (
 )
 
 
-@dataclass(frozen=True)
-class PointLabel:
+class PointLabel(NamedTuple):
     """One point: cycle-block residue tau and signed level x."""
 
-    __slots__ = ("tau", "x")
     tau: int
     x: int
-
-    # copy and pickle cannot set the slots of a frozen dataclass, so they
-    # rebuild through the constructor
-    def __reduce__(self):
-        return PointLabel, (self.tau, self.x)
 
     def __str__(self) -> str:
         return f"({self.tau},{self.x:+d})" if self.x else f"({self.tau},0)"
@@ -78,14 +71,14 @@ class Stratum:
     def __init__(self, n: int, N: int, b: int, points) -> None:
         n, N, b = int(n), int(N), int(b)
         if N < 1:
-            raise ValueError("N must be >= 1")
+            raise ValueError(f"N must be >= 1, got N={N}")
         if n < 1:
-            raise ValueError("n must be >= 1")
+            raise ValueError(f"n must be >= 1, got n={n}")
         if not 0 <= b <= n:
             raise ValueError(f"b must lie in 0..n, got b={b} with n={n}")
         pts = []
         for raw in points:
-            tau, x = (raw.tau, raw.x) if isinstance(raw, PointLabel) else (int(raw[0]), int(raw[1]))
+            tau, x = int(raw[0]), int(raw[1])
             if abs(x) > b + 1:
                 raise ValueError(f"level |{x}| exceeds b+1={b + 1}")
             if x == -(b + 1):
@@ -105,7 +98,7 @@ class Stratum:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "points", tuple(pts))
 
-    def __reduce__(self):  # as PointLabel.__reduce__; outside input is validated
+    def __reduce__(self):  # copy and pickle cannot set frozen slots; the constructor can
         return Stratum, (self.n, self.N, self.b, self.points)
 
     @classmethod
@@ -703,7 +696,7 @@ def iter_strata(
     taken top level first and positives first within a level.
     """
     if n < 1 or N < 1:
-        raise ValueError("need n >= 1 and N >= 1")
+        raise ValueError(f"need n >= 1 and N >= 1, got (n, N) = ({n}, {N})")
     if b is not None and not 0 <= b <= n:
         raise ValueError(f"b must lie in 0..n, got b={b} with n={n}")
     for bb in range(n + 1) if b is None else (b,):
@@ -738,9 +731,9 @@ def _admissible_flat(n: int, N: int) -> tuple[Stratum, ...]:
 def enumerate_admissible(n: int, N: int) -> dict[int, tuple[Stratum, ...]]:
     """Canonical admissible strata grouped by cell dimension, top first."""
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise ValueError(f"n must be >= 2, got n={n}")
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise ValueError(f"N must be >= 1, got N={N}")
     groups: dict[int, list[Stratum]] = {}
     for s in _admissible_flat(n, N):
         groups.setdefault(cell_dimension(s), []).append(s)

@@ -34,10 +34,14 @@ def test_enumerate_table(capsys):
     ]
 
 
-def test_enumerate_quiet_keeps_summary(capsys):
+def test_enumerate_quiet_keeps_summary(capsys, monkeypatch):
     rc, out, _ = run(capsys, "enumerate", "--n", "2", "--N", "2", "--quiet")
     assert rc == 0
     assert out == "1:2 0:3\n"
+    # the rows are never written, so they are never made
+    monkeypatch.setattr(st, "quotient_dimension", lambda s, delta: 1 / 0)
+    rc, out, _ = run(capsys, "enumerate", "--n", "3", "--N", "1", "--quiet")
+    assert (rc, out) == (0, "2:4 1:9 0:6\n")
 
 
 def test_enumerate_delta_changes_qdim(capsys):
@@ -55,6 +59,8 @@ def test_enumerate_csv(capsys):
     assert lines[0] == "id,b,class,dim,qdim,chart"
     assert len(lines) == 4
     assert all(ln.count(",") >= 5 for ln in lines[1:])
+    # --quiet shortens only the text table
+    assert run(capsys, "enumerate", "--n", "2", "--N", "1", "--format", "csv", "--quiet")[1] == out
 
 
 def test_enumerate_needs_n2(capsys, tmp_path):

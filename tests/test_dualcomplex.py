@@ -485,9 +485,38 @@ def _without_a_triangle(cx):
             frozenset(p for p in cx.incidence if victim not in p))
 
 
+def _moebius(cx):
+    """Five vertices, ten edges and the five triangles {i, i+1, i+2} mod 5: a Moebius strip."""
+    vs, ts = cx.by_dim[0][:5], cx.by_dim[2][:5]
+    edge = dict(zip(itertools.combinations(range(5), 2), cx.by_dim[1][:10]))
+    incidence = {(vs[v].id, e.id) for pair, e in edge.items() for v in pair}
+    for i, t in enumerate(ts):
+        corners = sorted((i + d) % 5 for d in range(3))
+        incidence |= {(edge[pair].id, t.id) for pair in itertools.combinations(corners, 2)}
+    return vs + tuple(edge.values()) + ts, incidence
+
+
+def _edge_between_far_vertices(cx):
+    """One more edge cell, taken from the complex at N + 1, on two vertices with no common edge."""
+    u, w = next((u, w) for u, w in itertools.combinations(cx.by_dim[0], 2)
+                if not set(cx.up[u.id]) & set(cx.up[w.id]))
+    e = dc.build(3, cx.N + 1).by_dim[1][0]
+    return cx.cells + (e,), cx.incidence | {(u.id, e.id), (w.id, e.id)}
+
+
 def _perturbed(N, perturb):
     cells, incidence = perturb(dc.build(3, N))
     return dc.DualComplex(3, N, tuple(cells), frozenset(incidence))
+
+
+def test_moebius_strip_fails_only_euler():
+    m = _perturbed(2, _moebius)
+    report = dc.verify_disk(m)
+    assert not report.ok and report.failures() == ["euler 0 != 1"]
+    assert len(report.boundary_cycle) == 5
+    # its automorphisms form the dihedral group of order 10
+    assert [dc.has_automorphism(m, order) for order in range(2, 7)] == [
+        True, False, False, True, False]
 
 
 AUTOMORPHISM_CASES = (
@@ -498,7 +527,8 @@ AUTOMORPHISM_CASES = (
     + [pytest.param(_perturbed, (3, _without_a_triangle), id="build(3,3)-triangle"),
        pytest.param(_perturbed, (1, _book), id="three-triangles-on-one-edge"),
        pytest.param(_perturbed, (1, _digon), id="digon"),
-       pytest.param(_perturbed, (1, lambda cx: _digon(cx, False)), id="two-edges-one-pair")]
+       pytest.param(_perturbed, (1, lambda cx: _digon(cx, False)), id="two-edges-one-pair"),
+       pytest.param(_perturbed, (2, _moebius), id="moebius-strip")]
 )
 
 
@@ -533,6 +563,48 @@ def test_automorphism_search_refuses_what_it_cannot_search(perturb, message):
             dc.has_automorphism(cx, order)
 
 
+@pytest.mark.parametrize("make, args, message", [
+    # the reflection of the 4-vertex path went unfound: False at order 2
+    (dc.build, (2, 3),
+     r"^automorphism search applies to n = 3 complexes, got \(n, N\) = \(2, 3\)$"),
+    # no automorphism of order 3 fixes the extra edge, yet the search answered True
+    (_perturbed, (3, _edge_between_far_vertices),
+     r"^complex is not pure 2-dimensional at X\{n=3;N=4;.*\}$"),
+    # two isolated vertices could swap, and the search would miss it
+    (_perturbed, (2, _vertex_without_cofaces),
+     r"^complex is not pure 2-dimensional at X\{n=3;N=3;.*\}$"),
+], ids=["n=2", "edge-in-no-triangle", "vertex-in-no-triangle"])
+def test_automorphism_search_refuses_complexes_it_would_misread(make, args, message):
+    cx = make(*args)
+    for order in range(2, 7):
+        with pytest.raises(ValueError, match=message):
+            dc.has_automorphism(cx, order)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dc.build(1, 1), "need n >= 2, got n=1"),
+    (lambda: dc.build(3, 0), "need N >= 1, got N=0"),
+    (lambda: st.enumerate_admissible(1, 1), "n must be >= 2, got n=1"),
+    (lambda: st.enumerate_admissible(3, 0), "N must be >= 1, got N=0"),
+    (lambda: next(st.iter_strata(0, 2)), "need n >= 1 and N >= 1, got (n, N) = (0, 2)"),
+    (lambda: next(st.iter_strata(2, 0)), "need n >= 1 and N >= 1, got (n, N) = (2, 0)"),
+    (lambda: st.Stratum(3, 0, 0, [(0, 0)] * 3), "N must be >= 1, got N=0"),
+    (lambda: st.Stratum(0, 1, 0, []), "n must be >= 1, got n=0"),
+    (lambda: dc.has_automorphism(dc.build(3, 1), 1), "order must be at least 2, got 1"),
+    (lambda: dc.local_chart(mk(2, 1, 0, (0, 0))),
+     "local charts are defined for n = 3, got X{n=2;N=1;b=0;[(0,0),(0,0)]}"),
+    (lambda: dc.type4_vertices(dc.build(2, 1)),
+     "type-4 vertices live in n = 3 complexes, got (n, N) = (2, 1)"),
+    (lambda: dc.grow_rows(0), "N must be positive, got N=0"),
+], ids=["build-n", "build-N", "enumerate_admissible-n", "enumerate_admissible-N",
+        "iter_strata-n", "iter_strata-N", "Stratum-N", "Stratum-n", "has_automorphism",
+        "local_chart", "type4_vertices", "grow_rows"])
+def test_range_refusals_name_the_value(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("fn, arg, prefix", [
     (dc.delta_K, mk(3, 1, 2, (1, 2, 3)), "need a deepest stratum (b = n), got "),
     (dc.local_chart, mk(3, 1, 0, (0, 1, 1)), "not a type-4 vertex: x-values differ in "),
@@ -542,6 +614,18 @@ def test_errors_name_their_stratum(fn, arg, prefix):
     with pytest.raises(ValueError) as err:
         fn(arg)
     assert str(err.value) == prefix + st.format_stratum(arg)
+
+
+def test_build_names_a_face_missing_from_enumeration(monkeypatch):
+    cx = dc.build(3, 1)
+    victim = cx.by_dim[0][0]
+    kept = tuple(s for s in st._admissible_flat(3, 1) if s != victim.stratum)
+    monkeypatch.setattr(st, "_admissible_flat", lambda n, N: kept)
+    with pytest.raises(InvariantError) as err:
+        dc.build.__wrapped__(3, 1)
+    prefix = "face %s missing from enumeration, a face of " % victim.id
+    assert str(err.value).startswith(prefix)
+    assert str(err.value)[len(prefix):] in cx.up[victim.id]
 
 
 def test_cell_invariant_names_its_cell(monkeypatch):

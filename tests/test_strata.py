@@ -9,6 +9,7 @@ from hypothesis import given, strategies as hs
 from kdc import strata as st
 from kdc.linechart import (
     Classification,
+    LatticeVertex,
     LineChart,
     classify,
     parse_chart,
@@ -75,6 +76,34 @@ def test_construction_rejects_bad_shapes():
         mk(3, 1, 0, (0, 0, 2))
     with pytest.raises(ValueError):
         mk(3, 0, 0, (0, 0, 0))
+
+
+@hs.composite
+def raw_strata(draw):
+    """(n, N, b, (tau, x) pairs) of a stable stratum, in any order and before reduction."""
+    n, N = draw(hs.integers(1, 4)), draw(hs.integers(1, 4))
+    b = draw(hs.integers(0, n))
+    levels = list(range(1, b + 1)) + draw(hs.lists(hs.integers(0, b + 1), min_size=n - b,
+                                                   max_size=n - b))
+    xs = draw(hs.permutations([lv * draw(hs.sampled_from((1, -1))) for lv in levels]))
+    taus = draw(hs.lists(hs.integers(-2 * N, 2 * N), min_size=n, max_size=n))
+    return n, N, b, list(zip(taus, xs))
+
+
+@given(raw_strata())
+def test_construction_reads_tuples_and_point_labels_alike(raw):
+    n, N, b, pairs = raw
+    s = st.Stratum(n, N, b, pairs)
+    assert st.Stratum(n, N, b, [st.PointLabel(t, x) for t, x in pairs]) == s
+    assert st.Stratum(n, N, b, s.points) == s
+    assert st.parse_stratum(st.format_stratum(s)) == s
+
+
+def test_records_are_named_tuples():
+    p, v = st.PointLabel(0, 1), LatticeVertex(0, 0)
+    assert p == (0, 1) and v == (0, 0) and tuple(p) == (0, 1) and len(v) == 2
+    assert (str(p), repr(p)) == ("(0,+1)", "PointLabel(tau=0, x=1)")
+    assert (str(v), repr(v)) == ("(0,0)", "LatticeVertex(x=0, y=0)")
 
 
 def test_parse_format_round_trip():
@@ -514,8 +543,12 @@ def test_trusted_construction_matches_validated(engine_strata):
 def test_copy_and_pickle_round_trip():
     s = next(st.iter_strata(3, 2, b=3, admissible_only=True))
     st.valid_levels(s)
+    chart = st.chart_of(s)
+    for obj in (s, s.points[-1], chart.vertices[-1], chart):
+        for t in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert t == obj and type(t) is type(obj) and repr(t) == repr(obj)
     for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
-        assert t == s and t.points == s.points
+        assert t.points == s.points
         assert st.valid_levels(t) == st.valid_levels(s)
 
 
