@@ -125,7 +125,7 @@ class DualComplex:
 
     @cached_property
     def _derived(self) -> dict:
-        """Results computed once per complex: the disk report, layouts."""
+        """Results computed once per complex: the disk report, layouts, the stray cell."""
         return {}
 
     def f_vector(self) -> Tuple[int, ...]:
@@ -140,17 +140,23 @@ class DualComplex:
 
     def is_connected(self) -> bool:
         """Whether the incidence graph joins all cells; an empty complex is."""
-        if not self.cells:
-            return True
-        seen = {self.cells[0].id}
-        queue = [self.cells[0].id]
+        return _stray_cell(self) is None
+
+
+def _stray_cell(cx: DualComplex) -> Optional[str]:
+    """The first cell the incidence graph does not join to cx.cells[0], else None; kept on cx."""
+    if "stray" not in cx._derived:
+        seen = {c.id for c in cx.cells[:1]}
+        queue = list(seen)
         while queue:
             here = queue.pop()
-            for nb in self.up[here] + self.down[here]:
+            for nb in cx.up[here] + cx.down[here]:
                 if nb not in seen:
                     seen.add(nb)
                     queue.append(nb)
-        return len(seen) == len(self.cells)
+        cx._derived["stray"] = None if len(seen) == len(cx.cells) else next(
+            c.id for c in cx.cells if c.id not in seen)
+    return cx._derived["stray"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -161,18 +167,29 @@ def build(n: int, N: int) -> DualComplex:
     if N < 1:
         raise ValueError("need N >= 1, got N=%d" % N)
     cells = [_make_cell(s, k) for s in st._admissible_flat(n, N) for k in st.valid_levels(s)]
-    index = {(c.stratum, c.k): c.id for c in cells}
+    by_chart: Dict[tuple, List[Cell]] = {}  # the cells of a chart and level share face plans
+    for c in cells:
+        by_chart.setdefault((st.chart_of(c.stratum).vertices, c.k), []).append(c)
+    index = {}
+    for group in by_chart.values():
+        xs = tuple(p.x for p in group[0].stratum.points)
+        for c in group:
+            index[(c.b, xs, c.k, *st._residues(c.stratum))] = c.id
 
     incidence = set()
-    for c in cells:
-        for item in st.face_items(c.stratum, c.k, codim=1):
-            fid = index.get(item)
-            if fid is None:
-                raise InvariantError(
-                    "face %s missing from enumeration, a face of %s"
-                    % (st.format_stratum(item[0]), c.id)
-                )
-            incidence.add((fid, c.id))
+    for group in by_chart.values():
+        plans = st._plans(st.chart_of(group[0].stratum), group[0].k, 1)
+        for c in group:
+            taus = st._residues(c.stratum)
+            for plan in plans:
+                face = plan.residues(taus, N)
+                fid = index.get((plan.b, plan.xs, plan.k, *face))
+                if fid is None:
+                    raise InvariantError(
+                        "face %s missing from enumeration, a face of %s"
+                        % (st.format_stratum(plan.stratum(n, N, face)), c.id)
+                    )
+                incidence.add((fid, c.id))
 
     cells.sort(key=lambda c: c.id)
     return DualComplex(n, N, tuple(cells), frozenset(incidence))
@@ -214,17 +231,15 @@ def delta_K(top: st.Stratum, k: Optional[int] = None) -> LocalComplex:
     center = _make_cell(top, k)
     k = center.k
 
-    verts = st.chart_of(top).vertices
-    v = len(verts)
+    chart, taus = st.chart_of(top), st._residues(top)
     dims = {}
     cells = {}
-    for mask, dim in st._face_masks(verts, k):
-        support = frozenset((verts[i].x, verts[i].y) for i in range(v) if mask >> i & 1)
-        dims[support] = dim
-        if mask == (1 << v) - 1:
-            cells[support] = center
-        else:
-            cells[support] = _make_cell(*st._collapse_face(top, verts, mask, k))
+    for plan in st._plans(chart, k):
+        support = frozenset((v.x, v.y) for i, v in enumerate(chart.vertices) if plan.mask >> i & 1)
+        dims[support] = plan.dim
+        cells[support] = _make_cell(plan.stratum(top.n, top.N, plan.residues(taus, top.N)), plan.k)
+    support = frozenset((v.x, v.y) for v in chart.vertices)
+    dims[support], cells[support] = center.dim, center
     local = LocalComplex(center, polytope.FacePoset(dims), cells)
     if len({c.stratum for c in local.cells.values()}) != len(local.cells):
         raise InvariantError("face strata of a single cell must be distinct")
@@ -509,18 +524,22 @@ def _triangulation_tables(cx: DualComplex):
     for c in cx.by_dim.get(0, ()) + cx.by_dim.get(1, ()):  # the search maps triangles only
         if not cx.up[c.id]:
             raise ValueError("complex is not pure 2-dimensional at %s" % c.id)
+    stray = _stray_cell(cx)  # propagation never leaves the first triangle's component
+    if stray is not None:
+        raise ValueError("complex is not connected: %s lies outside the component of %s"
+                         % (stray, cx.cells[0].id))
     return tri_verts, edge_by_pair
 
 
 def has_automorphism(cx: DualComplex, order: int) -> bool:
     """Search for an incidence automorphism of the given exact order.
 
-    Works on n = 3 simple triangulations with every vertex and edge in a
-    triangle and at most two triangles on an edge, and refuses any other
-    complex, naming a cell or (n, N).  A map of one triangle onto another
-    propagates uniquely across shared edges, so the seeds, the first
-    triangle onto each triangle in id order with corners in every order,
-    enumerate all candidates.
+    Works on connected n = 3 simple triangulations with every vertex and
+    edge in a triangle and at most two triangles on an edge, and refuses
+    any other complex, naming a cell or (n, N).  A map of one triangle
+    onto another propagates uniquely across shared edges, so the seeds,
+    the first triangle onto each triangle in id order with corners in
+    every order, enumerate all candidates.
     """
     if order < 2:
         raise ValueError("order must be at least 2, got %d" % order)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -42,18 +43,14 @@ class PointLabel(NamedTuple):
         return f"({self.tau},{self.x:+d})" if self.x else f"({self.tau},0)"
 
 
-def _point_key(p: PointLabel) -> tuple[int, int, int]:
-    # |x| ascending, positive before negative, then tau
-    return (abs(p.x), 0 if p.x >= 0 else 1, p.tau)
-
-
 @dataclass(frozen=True)
 class Stratum:
     """Canonical stratum label.
 
     Construction normalizes its input: residues are reduced mod N,
     points at the top level b+1 with negative sign flip to the positive
-    side while their residue drops by one, and points are sorted.
+    side while their residue drops by one, and points are sorted by |x|,
+    positive before negative, then by tau.
     Validation enforces |x| <= b+1 and stability, meaning every level
     1..b carries at least one point.
 
@@ -78,7 +75,10 @@ class Stratum:
             raise ValueError(f"b must lie in 0..n, got b={b} with n={n}")
         pts = []
         for raw in points:
-            tau, x = int(raw[0]), int(raw[1])
+            try:
+                tau, x = operator.index(raw[0]), operator.index(raw[1])
+            except TypeError:
+                raise ValueError(f"point {raw!r} needs an integer residue and level") from None
             if abs(x) > b + 1:
                 raise ValueError(f"level |{x}| exceeds b+1={b + 1}")
             if x == -(b + 1):
@@ -88,7 +88,7 @@ class Stratum:
             pts.append(PointLabel(tau % N, x))
         if len(pts) != n:
             raise ValueError(f"expected {n} points, got {len(pts)}")
-        pts.sort(key=_point_key)
+        pts.sort(key=lambda p: (abs(p.x), p.x < 0, p.tau))
         occupied = {abs(p.x) for p in pts}
         missing = [lv for lv in range(1, b + 1) if lv not in occupied]
         if missing:
@@ -106,7 +106,7 @@ class Stratum:
         """Trusted constructor for points the engine holds in canonical form.
 
         The points must already be reduced mod N, flipped at the top level,
-        sorted by _point_key and stable; nothing is checked.  chart, when
+        in canonical order and stable; nothing is checked.  chart, when
         given, is the _chart_facts entry of the stratum's chart.
         """
         s = object.__new__(cls)
@@ -291,12 +291,80 @@ def smooth(s: Stratum, j: int, mode: str = "hilbert") -> Optional[Stratum]:
         raise ValueError(f"smoothing level must lie in 1..{s.b + 1}, got {j}")
     if s.b == 0:
         raise ValueError(f"a b=0 stratum has no level left to smooth: {format_stratum(s)}")
-    verts = _facts(s)[0].vertices
-    full = (1 << len(verts)) - 1
-    out = _collapse_face(s, verts, full & ~(1 << (s.b + 1 - j)), 0)[0]
+    chart = _facts(s)[0]
+    plan = _face_plan(chart, _point_runs(chart), ((1 << s.b + 1) - 1) & ~(1 << s.b + 1 - j), 0, 0)
+    out = plan.stratum(s.n, s.N, plan.residues(_residues(s), s.N))
     if mode == "kummer" and not is_admissible(out):
         return None
     return out
+
+
+class FacePlan(NamedTuple):
+    """The face on the chart vertices in mask, for every stratum of one chart.
+
+    Deleting a vertex collapses its level: each point at or above it moves
+    one step toward zero, and one landing on -(b+1) flips to b+1 with its
+    residue lowered by one.  Points of equal x form runs fixed by the
+    chart, so a face reads its residues off the stratum's: a segment
+    (lo, hi, None) copies residues lo..hi-1, a segment (0, 0, merged)
+    shifts, merges and sorts those of its (lo, hi, shift) source runs.
+    b, xs (x per point) and k are the face's own.
+    """
+
+    mask: int
+    dim: int
+    b: int
+    xs: tuple[int, ...]
+    k: int
+    segments: tuple
+
+    def residues(self, taus: tuple[int, ...], N: int) -> list[int]:
+        out = []
+        for lo, hi, merged in self.segments:
+            out += taus[lo:hi] if merged is None else sorted(
+                [(t + shift) % N for lo, hi, shift in merged for t in taus[lo:hi]])
+        return out
+
+    def stratum(self, n: int, N: int, taus) -> Stratum:
+        return Stratum._canonical(n, N, self.b, tuple(map(PointLabel, taus, self.xs)))
+
+
+def _point_runs(chart: LineChart) -> list[tuple[int, int, int, int]]:
+    """(level, sign, lo, hi) of each run of points of equal x, in point order."""
+    out, lo = [], 0
+    for level, sign, count in sorted(_chart_classes(chart), key=lambda c: (c[0], -c[1])):
+        out.append((level, sign, lo, lo + count))
+        lo += count
+    return out
+
+
+def _face_plan(chart: LineChart, runs, mask: int, k: int, dim: int) -> FacePlan:
+    v = len(chart.vertices)
+    new_level = [0]  # a point at level l lands on the kept vertices at levels 1..l
+    for lv in range(1, v + 1):
+        new_level.append(new_level[-1] + (mask >> v - lv & 1))
+    top = new_level[v]
+    groups: dict[int, list] = {}  # 2|x| + (x < 0) of a face x -> its source runs
+    for level, sign, lo, hi in runs:
+        lv = new_level[level]
+        if sign < 0 and lv == top:
+            groups.setdefault(2 * lv, []).append((lo, hi, -1))
+        else:
+            groups.setdefault(2 * lv + (sign < 0 < lv), []).append((lo, hi, 0))
+    xs, segments = [], []
+    for key in sorted(groups):
+        sources = groups[key]
+        lo, hi, shift = sources[0]
+        for a, b, _ in sources:
+            xs += [-(key >> 1) if key & 1 else key >> 1] * (b - a)
+        if len(sources) > 1 or shift:
+            segments.append((0, 0, tuple(sources)))
+        elif segments and segments[-1][1:] == (lo, None):
+            segments[-1] = (segments[-1][0], hi, None)
+        else:
+            segments.append((lo, hi, None))
+    first = chart.vertices[(mask & -mask).bit_length() - 1]
+    return FacePlan(mask, dim, top - 1, tuple(xs), k + (first.x - first.y) // 2, tuple(segments))
 
 
 @functools.lru_cache(maxsize=None)
@@ -318,27 +386,16 @@ def _face_masks(verts: tuple, k: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _collapse_face(s: Stratum, verts: tuple, mask: int, k: int) -> tuple[Stratum, int]:
-    """The face of s on the chart vertices in mask, and k in the face's chart.
+def _plans(chart: LineChart, k: int, codim: Optional[int] = None) -> tuple[FacePlan, ...]:
+    """Plans of the proper faces of a cell of the chart at k, or of those codim below it."""
+    masks, runs = _face_masks(chart.vertices, k), _point_runs(chart)
+    want = None if codim is None else masks[-1][1] - codim
+    return tuple(_face_plan(chart, runs, mask, k, dim) for mask, dim in masks[:-1]
+                 if want is None or dim == want)
 
-    Deleting a vertex collapses its level, so every point at or above
-    it moves one step toward zero; residues ride along unchanged up to
-    the canonical top-level flip.
-    """
-    dropped = [s.b + 1 - i for i in range(len(verts)) if not mask >> i & 1]
-    b = s.b - len(dropped)
-    new_level = [lv - sum(1 for d in dropped if d <= lv) for lv in range(s.b + 2)]
-    points = []
-    for p in s.points:
-        lv = new_level[abs(p.x)]
-        if p.x < 0 and lv == b + 1:
-            p = PointLabel((p.tau - 1) % s.N, lv)
-        elif lv != abs(p.x):
-            p = PointLabel(p.tau, lv if p.x > 0 else -lv)
-        points.append(p)
-    points.sort(key=_point_key)
-    first = verts[(mask & -mask).bit_length() - 1]
-    return Stratum._canonical(s.n, s.N, b, tuple(points)), k + (first.x - first.y) // 2
+
+def _residues(s: Stratum) -> tuple[int, ...]:
+    return tuple(map(operator.itemgetter(0), s.points))
 
 
 def face_items(
@@ -358,15 +415,9 @@ def face_items(
         ks = (k,)
     else:
         raise ValueError(f"k={k} is not a neutral level of this stratum {format_stratum(s)}")
-    verts = _facts(s)[0].vertices
-    items = set()
-    for k in ks:
-        masks = _face_masks(verts, k)
-        want = None if codim is None else masks[-1][1] - codim
-        for mask, dim in masks[:-1]:
-            if want is None or dim == want:
-                items.add(_collapse_face(s, verts, mask, k))
-    return frozenset(items)
+    chart, taus = _facts(s)[0], _residues(s)
+    return frozenset((plan.stratum(s.n, s.N, plan.residues(taus, s.N)), plan.k)
+                     for k in ks for plan in _plans(chart, k, codim))
 
 
 def faces(s: Stratum) -> list[Stratum]:
@@ -714,13 +765,20 @@ def iter_strata(
                 ]
                 for level, sign, count in classes
             ]
-            # classes run from the top level down; canonical points run upward
+            # classes run from the top level down, canonical points upward:
+            # the last class's points come after those of head, before rest
             order = sorted(range(len(classes)), key=lambda i: (classes[i][0], -classes[i][1]))
-            for combo in itertools.product(*pools):
-                if admissible_only and sum(t for t, _ in combo) % N not in targets:
-                    continue
-                points = tuple(p for i in order for p in combo[i][1])
-                yield Stratum._canonical(n, N, bb, points, facts)
+            at = order.index(len(classes) - 1)
+            head, rest = order[:at], order[at + 1:]
+            # tails[r]: the last pool's points, in order, that suit a prefix of sum r
+            last = pools.pop()
+            tails = [[pts for t, pts in last if not admissible_only or (r + t) % N in targets]
+                     for r in range(N)]
+            for prefix in itertools.product(*pools):
+                before = tuple(p for i in head for p in prefix[i][1])
+                after = tuple(p for i in rest for p in prefix[i][1])
+                for pts in tails[sum(t for t, _ in prefix) % N]:
+                    yield Stratum._canonical(n, N, bb, before + pts + after, facts)
 
 
 @functools.lru_cache(maxsize=None)

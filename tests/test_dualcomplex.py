@@ -91,7 +91,7 @@ def test_incidence_is_covering():
         assert len(cx.down[cell.id]) == 3
 
 
-@pytest.mark.parametrize("rung", ["build.3_2", "build.3_16", "build.4_4"])
+@pytest.mark.parametrize("rung", ["build.3_2", "build.3_16", "build.4_4", "build.5_2"])
 def test_build_matches_golden_export(rung):
     golden = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
     want = json.loads(golden.read_text())["ladder"][rung]
@@ -496,6 +496,16 @@ def _moebius(cx):
     return vs + tuple(edge.values()) + ts, incidence
 
 
+def _two_triangles(cx):
+    """Six vertices, six edges and two triangles of cx wired as two disjoint triangles."""
+    vs, es, ts = cx.by_dim[0][:6], cx.by_dim[1][:6], cx.by_dim[2][:2]
+    incidence = set()
+    for t, corners, edges in zip(ts, (vs[:3], vs[3:]), (es[:3], es[3:])):
+        for e, pair in zip(edges, itertools.combinations(corners, 2)):
+            incidence |= {(v.id, e.id) for v in pair} | {(e.id, t.id)}
+    return vs + es + ts, incidence
+
+
 def _edge_between_far_vertices(cx):
     """One more edge cell, taken from the complex at N + 1, on two vertices with no common edge."""
     u, w = next((u, w) for u, w in itertools.combinations(cx.by_dim[0], 2)
@@ -579,6 +589,18 @@ def test_automorphism_search_refuses_complexes_it_would_misread(make, args, mess
     for order in range(2, 7):
         with pytest.raises(ValueError, match=message):
             dc.has_automorphism(cx, order)
+
+
+def test_automorphism_search_refuses_a_disconnected_complex():
+    # the swap of the two triangles went unfound: False at orders 2..6
+    cx = _perturbed(2, _two_triangles)
+    vs = cx.by_dim[0]
+    assert dc.verify_disk(cx).failures() == ["connected", "boundary cycle", "euler 2 != 1"]
+    for order in range(2, 7):
+        with pytest.raises(ValueError) as err:
+            dc.has_automorphism(cx, order)
+        assert str(err.value) == (
+            "complex is not connected: %s lies outside the component of %s" % (vs[3].id, vs[0].id))
 
 
 @pytest.mark.parametrize("call, message", [

@@ -540,6 +540,34 @@ def test_trusted_construction_matches_validated(engine_strata):
             assert got == want and got.points == want.points
 
 
+def test_face_items_match_a_pointwise_reference(engine_strata):
+    """Each face drops its masked chart levels point by point and is validated."""
+    for s in dict.fromkeys(engine_strata):
+        verts = st.chart_of(s).vertices
+        for k in st.valid_levels(s):
+            want = set()
+            for mask in range(1, (1 << len(verts)) - 1):
+                kept = [v for i, v in enumerate(verts) if mask >> i & 1]
+                ys = [v.y for v in kept]
+                if not (min(ys) < 2 * k < max(ys) or min(ys) == 2 * k == max(ys)):
+                    continue
+                dropped = [s.b + 1 - i for i in range(len(verts)) if not mask >> i & 1]
+                points = []
+                for p in s.points:
+                    level = abs(p.x) - sum(1 for d in dropped if d <= abs(p.x))
+                    points.append((p.tau, level if p.x > 0 else -level))
+                face = st.Stratum(s.n, s.N, s.b - len(dropped), points)
+                want.add((face, k + (kept[0].x - kept[0].y) // 2))
+            assert st.face_items(s, k) == want
+
+
+@pytest.mark.parametrize("point", [(0.9, 0.5), ("1", "1")])
+def test_construction_refuses_points_that_are_not_integers(point):
+    with pytest.raises(ValueError) as err:
+        st.Stratum(3, 1, 0, [point] * 3)
+    assert str(err.value) == "point %r needs an integer residue and level" % (point,)
+
+
 def test_copy_and_pickle_round_trip():
     s = next(st.iter_strata(3, 2, b=3, admissible_only=True))
     st.valid_levels(s)
@@ -634,12 +662,15 @@ def test_iter_strata_yield_order():
         "X{n=2;N=1;b=2;[(0,+1),(0,+2)]}",
     ]
     # (count, sha256 of the newline-joined literals in yield order), recorded
-    # when iter_strata built every stratum through the validating constructor
+    # when iter_strata built every stratum through the validating constructor;
+    # the (3, 5) and (5, 2) rows when it still filtered every residue combination
     recorded = {
         (3, 2, False): (328, "c93c06ec853d38a9346e1af620208cde26564540aa0103b31db1f13294edfc3a"),
         (3, 2, True): (61, "85e19183d7e2b694c9485ff3c0043d8160e803d77db9960e5df251a105748477"),
         (4, 2, False): (2062, "c07e4de4c4de8a933473780bc4dff40aae04b9c02e4506aca644a49133bd1f10"),
         (4, 2, True): (419, "82c78ee900362c39e0bf6f1a10ff59ca972715e2e7f03564f26c7110b8faa077"),
+        (3, 5, True): (331, "64a8e9f6c083a093c815d26e81aedc043de54d96e6a74c5eb71018a7deb29402"),
+        (5, 2, True): (4603, "f6d62b2314fd1c387d1de3ba866994a9d75698b123ec0b74407538a6c1198bbc"),
     }
     for (n, N, adm), (count, digest) in recorded.items():
         literals = [st.format_stratum(s) for s in st.iter_strata(n, N, admissible_only=adm)]
