@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 from typing import Optional
@@ -28,6 +29,7 @@ def _positive(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kdc",
@@ -177,8 +179,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)  # built once; each call gets a fresh namespace
     try:
         return _COMMANDS[args.command](args)
     except InvariantError as breach:

@@ -13,7 +13,6 @@ stratum keys identifying shared faces.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import re
@@ -493,100 +492,91 @@ def type4_vertices(cx: DualComplex) -> Tuple[Cell, ...]:
 
 
 # ---------------------------------------------------------------------------
-# automorphisms of n = 3 complexes
+# automorphisms
 
 
-def _corners(cx: DualComplex, t: str) -> Tuple[str, str, str]:
-    """The sorted vertices of triangle t, which must be three."""
-    vs = sorted({v for e in cx.down[t] for v in cx.down[e]})
-    if len(vs) != 3:
-        raise ValueError("triangle %s is not on three vertices" % t)
-    return tuple(vs)
-
-
-def _triangulation_tables(cx: DualComplex):
-    if cx.n != 3:
-        raise ValueError(
-            "automorphism search applies to n = 3 complexes, got (n, N) = (%d, %d)" % (cx.n, cx.N)
-        )
-    tri_verts = {t.id: _corners(cx, t.id) for t in cx.by_dim.get(2, ())}
-    edge_by_pair = {}
-    for e in cx.by_dim.get(1, ()):
-        ends = frozenset(cx.down[e.id])
-        if len(ends) != 2 or ends in edge_by_pair:
-            raise ValueError("complex is not a simple triangulation at edge %s" % e.id)
-        if len(cx.up[e.id]) > 2:
-            raise ValueError("edge %s lies in %d triangles" % (e.id, len(cx.up[e.id])))
-        edge_by_pair[ends] = e.id
-    for t in tri_verts:  # three simple edges on three corners join its three corner pairs
-        if len(cx.down[t]) != 3 or any(cx.by_id[e].dim != 1 for e in cx.down[t]):
-            raise ValueError("triangle %s is not bounded by three edges" % t)
-    for c in cx.by_dim.get(0, ()) + cx.by_dim.get(1, ()):  # the search maps triangles only
-        if not cx.up[c.id]:
-            raise ValueError("complex is not pure 2-dimensional at %s" % c.id)
-    stray = _stray_cell(cx)  # propagation never leaves the first triangle's component
+def _flag_tables(cx: DualComplex):
+    """The maximal flags of cx, vertex first, and flips[r][i], the index of the flag
+    that differs from flags[i] only at rank r, else i; refuses what the search could misread."""
+    top = max((c.dim for c in cx.cells), default=-1)
+    for d in range(top):  # the search maps flags, which end in top cells
+        for c in cx.by_dim.get(d, ()):
+            if not cx.up[c.id]:
+                raise ValueError("complex is not pure %d-dimensional at %s" % (top, c.id))
+    stray = _stray_cell(cx)
     if stray is not None:
         raise ValueError("complex is not connected: %s lies outside the component of %s"
                          % (stray, cx.cells[0].id))
-    return tri_verts, edge_by_pair
+    flags = [(c.id,) for c in cx.by_dim.get(top, ())]
+    for d in range(top - 1, -1, -1):
+        flags = [(x,) + f for f in flags for x in cx.down[f[0]] if cx.by_id[x].dim == d]
+    missing = set(cx.by_id).difference(*flags)
+    if missing:
+        raise ValueError("cell %s lies in no flag" % next(c.id for c in cx.cells if c.id in missing))
+    flips = [list(range(len(flags))) for _ in range(top + 1)]
+    for r in reversed(range(top + 1)):  # ridges first, then diamonds downward
+        pairs: Dict[tuple, List[int]] = {}
+        for i, f in enumerate(flags):
+            pairs.setdefault(f[:r] + f[r + 1:], []).append(i)
+        for group in pairs.values():
+            f = flags[group[0]]
+            if r == top and len(group) > 2:
+                raise ValueError("ridge %s lies in %d top cells" % (f[r - 1], len(group)))
+            if r < top and len(group) != 2:
+                raise ValueError("interval below %s%s is not a diamond: it holds %d, not 2, cells"
+                                 % (f[r + 1], " above %s" % f[r - 1] if r else "", len(group)))
+            if len(group) == 2:
+                flips[r][group[0]], flips[r][group[1]] = group[1], group[0]
+    return flags, flips
 
 
 def has_automorphism(cx: DualComplex, order: int) -> bool:
     """Search for an incidence automorphism of the given exact order.
 
-    Works on connected n = 3 simple triangulations with every vertex and
-    edge in a triangle and at most two triangles on an edge, and refuses
-    any other complex, naming a cell or (n, N).  A map of one triangle
-    onto another propagates uniquely across shared edges, so the seeds,
-    the first triangle onto each triangle in id order with corners in
-    every order, enumerate all candidates.
+    It maps maximal flags, chains of cells from a vertex up to a top cell, and
+    refuses, naming a cell, what _flag_tables refuses or top cells not joined
+    through ridges.  An automorphism commutes with flips, so the image of the first
+    flag fixes it: the seeds, that flag onto each flag, enumerate all candidates.
     """
     if order < 2:
         raise ValueError("order must be at least 2, got %d" % order)
-    tri_verts, edge_by_pair = _triangulation_tables(cx)
-    tris = sorted(tri_verts)
-    for t1 in tris:
-        for image in itertools.permutations(tri_verts[t1]):
-            vmap = _propagate(cx, tri_verts, edge_by_pair, tris[0], t1, image)
-            if vmap is not None and _permutation_order(vmap) == order:
-                return True
+    flags, flips = _flag_tables(cx)
+    degree = {c.id: len(cx.up[c.id]) for c in cx.cells}
+    for seed in range(len(flags)):
+        fmap, cmap = _propagate(flags, flips, degree, seed)
+        if fmap is None:
+            continue
+        if len(fmap) < len(flags):  # only at seed 0, the identity: all seeds reach the same flags
+            missed = next(f for i, f in enumerate(flags) if i not in fmap)
+            raise ValueError("top cells are not joined through ridges: %s is not reached from %s"
+                             % (missed[-1], flags[0][-1]))
+        if (_permutation_order(cmap) == order and len(set(cmap.values())) == len(cmap)
+                and all((cmap[a], cmap[b]) in cx.incidence for a, b in cx.incidence)):
+            return True
     return False
 
 
-def _propagate(cx: DualComplex, tri_verts, edge_by_pair, t0: str, t1: str, image):
-    """The vertex map forced by sending t0's corners onto image in t1, or None.
-
-    None when an edge has no image with as many cofaces, two steps disagree,
-    some triangle is not reached or the map is not one-to-one.
-    """
-    vmap = dict(zip(tri_verts[t0], image))
-    tmap = {t0: t1}
-    queue = [t0]
+def _propagate(flags, flips, degree, seed: int):
+    """The flag and cell maps that send flags[0] onto flags[seed] and commute with flips, or
+    None, None once a flag or a cell would get two images or a cell another up-degree (equal
+    up-degrees on the ridges make a top flip exist on both sides or on neither)."""
+    cmap, fmap, queue = dict(zip(flags[0], flags[seed])), {0: seed}, [0]
+    if any(degree[a] != degree[b] for a, b in cmap.items()):
+        return None, None
     while queue:
-        t = queue.pop()
-        ti = tmap[t]
-        for pair in itertools.combinations(tri_verts[t], 2):
-            e = edge_by_pair[frozenset(pair)]
-            ipair = frozenset(vmap[v] for v in pair)
-            ei = edge_by_pair.get(ipair)
-            if ei is None or len(cx.up[e]) != len(cx.up[ei]):
-                return None
-            nbrs = [x for x in cx.up[e] if x != t]
-            if not nbrs:
+        f = queue.pop()
+        for r, row in enumerate(flips):
+            f2, g2 = row[f], row[fmap[f]]
+            if f2 in fmap:
+                if fmap[f2] != g2:
+                    return None, None
                 continue
-            tn, tni = nbrs[0], [x for x in cx.up[ei] if x != ti][0]
-            third = next(v for v in tri_verts[tn] if v not in pair)
-            ithird = next(v for v in tri_verts[tni] if v not in ipair)
-            if vmap.setdefault(third, ithird) != ithird:
-                return None
-            if tn not in tmap:
-                tmap[tn] = tni
-                queue.append(tn)
-            elif tmap[tn] != tni:
-                return None
-    if len(tmap) != len(tri_verts) or len(set(vmap.values())) != len(vmap):
-        return None
-    return vmap
+            x, y = flags[f2][r], flags[g2][r]  # the one cell f2 adds to the map
+            if cmap.setdefault(x, y) != y or degree[x] != degree[y]:
+                return None, None
+            fmap[f2] = g2
+            queue.append(f2)
+    return fmap, cmap
 
 
 def _permutation_order(perm: Dict[str, str]) -> int:
@@ -734,6 +724,14 @@ def _export_dot(cx: DualComplex) -> bytes:
             lines.append('  "%s" -- "%s";' % (ends[0], ends[1]))
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _corners(cx: DualComplex, t: str) -> Tuple[str, str, str]:
+    """The sorted vertices of triangle t, which must be three."""
+    vs = sorted({v for e in cx.down[t] for v in cx.down[e]})
+    if len(vs) != 3:
+        raise ValueError("triangle %s is not on three vertices" % t)
+    return tuple(vs)
 
 
 def _export_off(cx: DualComplex, seed: int) -> bytes:

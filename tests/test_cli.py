@@ -81,6 +81,16 @@ def test_bad_flag_values_exit_2():
     assert exc.value.code == 2
 
 
+def test_parser_is_built_once(capsys):
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    first = parser.parse_args(["chart", "LC{n=3;(0,0)(1,1)}"])
+    parser.parse_args(["chart", "LC{n=3;(0,0)}"])
+    assert first.literal == "LC{n=3;(0,0)(1,1)}"
+    assert run(capsys, "enumerate", "--n", "3", "--N", "1")[0] == 0
+    test_bad_flag_values_exit_2()
+
+
 def test_chart_report(capsys):
     rc, out, _ = run(capsys, "chart", "LC{n=3;(0,0)(1,1)(2,2)(3,3)}")
     assert rc == 0

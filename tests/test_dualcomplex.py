@@ -396,11 +396,43 @@ def test_automorphism_orders():
         dc.has_automorphism(dc.build(3, 1), 1)
 
 
+def _reference_tables(cx):
+    """The triangle tables of the reference search, refusing what it cannot search."""
+    if cx.n != 3:
+        raise ValueError(
+            "automorphism search applies to n = 3 complexes, got (n, N) = (%d, %d)" % (cx.n, cx.N)
+        )
+    tri_verts = {t.id: dc._corners(cx, t.id) for t in cx.by_dim.get(2, ())}
+    edge_by_pair = {}
+    for e in cx.by_dim.get(1, ()):
+        ends = frozenset(cx.down[e.id])
+        if len(ends) != 2 or ends in edge_by_pair:
+            raise ValueError("complex is not a simple triangulation at edge %s" % e.id)
+        if len(cx.up[e.id]) > 2:
+            raise ValueError("edge %s lies in %d triangles" % (e.id, len(cx.up[e.id])))
+        edge_by_pair[ends] = e.id
+    for t in tri_verts:
+        if len(cx.down[t]) != 3 or any(cx.by_id[e].dim != 1 for e in cx.down[t]):
+            raise ValueError("triangle %s is not bounded by three edges" % t)
+    for c in cx.by_dim.get(0, ()) + cx.by_dim.get(1, ()):
+        if not cx.up[c.id]:
+            raise ValueError("complex is not pure 2-dimensional at %s" % c.id)
+    stray = dc._stray_cell(cx)
+    if stray is not None:
+        raise ValueError("complex is not connected: %s lies outside the component of %s"
+                         % (stray, cx.cells[0].id))
+    return tri_verts, edge_by_pair
+
+
 def reference_has_automorphism(cx, order):
-    """Reference: the same search in one loop, checking each new image is unused."""
+    """Reference: a triangle-by-triangle search in one loop, checking each new image is unused.
+
+    It maps a first triangle onto each triangle with its corners in every
+    order and propagates the vertex map across shared edges.
+    """
     if order < 2:
         raise ValueError("order must be at least 2")
-    tri_verts, edge_by_pair = dc._triangulation_tables(cx)
+    tri_verts, edge_by_pair = _reference_tables(cx)
     tris = sorted(tri_verts)
     if not tris:
         return False
@@ -496,14 +528,16 @@ def _moebius(cx):
     return vs + tuple(edge.values()) + ts, incidence
 
 
-def _two_triangles(cx):
-    """Six vertices, six edges and two triangles of cx wired as two disjoint triangles."""
+def _two_triangles(cx, share_a_vertex=False):
+    """Two triangles of cx wired apart, or on one common vertex if share_a_vertex."""
     vs, es, ts = cx.by_dim[0][:6], cx.by_dim[1][:6], cx.by_dim[2][:2]
     incidence = set()
-    for t, corners, edges in zip(ts, (vs[:3], vs[3:]), (es[:3], es[3:])):
+    second = vs[2:5] if share_a_vertex else vs[3:]
+    for t, corners, edges in zip(ts, (vs[:3], second), (es[:3], es[3:])):
         for e, pair in zip(edges, itertools.combinations(corners, 2)):
             incidence |= {(v.id, e.id) for v in pair} | {(e.id, t.id)}
-    return vs + es + ts, incidence
+    cells = vs[:5] if share_a_vertex else vs
+    return cells + es + ts, incidence
 
 
 def _edge_between_far_vertices(cx):
@@ -512,6 +546,13 @@ def _edge_between_far_vertices(cx):
                 if not set(cx.up[u.id]) & set(cx.up[w.id]))
     e = dc.build(3, cx.N + 1).by_dim[1][0]
     return cx.cells + (e,), cx.incidence | {(u.id, e.id), (w.id, e.id)}
+
+
+def _vertex_on_a_far_triangle(cx):
+    """One incidence straight from a vertex to a triangle it is no corner of."""
+    v, t = "X{n=3;N=1;b=0;[(0,0),(0,0),(0,0)]}", "X{n=3;N=1;b=3;[(0,+1),(0,+2),(0,+3)]}"
+    assert v in cx.by_id and v not in dc._corners(cx, t)
+    return cx.cells, cx.incidence | {(v, t)}
 
 
 def _perturbed(N, perturb):
@@ -529,25 +570,48 @@ def test_moebius_strip_fails_only_euler():
         True, False, False, True, False]
 
 
+# changed is None where the outcomes at orders 2..6 are the triangle-only
+# reference's; elsewhere the reference refuses and changed is the new outcome,
+# a refusal message or the answers.
+ONLY_A_SWAP = [True, False, False, False, False]
 AUTOMORPHISM_CASES = (
-    [pytest.param(dc.build, (3, N), id="build(3,%d)" % N) for N in range(1, 7)]
-    + [pytest.param(_perturbed, (2, f), id=f.__name__) for f in (
-        _third_triangle, _boundary_edge_in_a_second_triangle, _boundary_edge_loses_an_end,
-        _three_edges_at_a_vertex, _vertex_without_cofaces)]
-    + [pytest.param(_perturbed, (3, _without_a_triangle), id="build(3,3)-triangle"),
-       pytest.param(_perturbed, (1, _book), id="three-triangles-on-one-edge"),
-       pytest.param(_perturbed, (1, _digon), id="digon"),
-       pytest.param(_perturbed, (1, lambda cx: _digon(cx, False)), id="two-edges-one-pair"),
-       pytest.param(_perturbed, (2, _moebius), id="moebius-strip")]
+    [pytest.param(dc.build, (3, N), None, id="build(3,%d)" % N) for N in range(1, 7)]
+    + [pytest.param(_perturbed, (2, f), changed, id=f.__name__) for f, changed in (
+        (_third_triangle, "ridge X{n=3;N=2;b=1;[(0,0),(0,+1),(0,-1)]} lies in 3 top cells"),
+        (_boundary_edge_in_a_second_triangle,
+         "interval below X{n=3;N=2;b=3;[(0,+1),(0,+2),(1,+3)]} above "
+         "X{n=3;N=2;b=0;[(0,0),(0,0),(0,0)]} is not a diamond: it holds 1, not 2, cells"),
+        (_boundary_edge_loses_an_end,
+         "interval below X{n=3;N=2;b=3;[(0,+1),(0,+2),(0,-3)]} above "
+         "X{n=3;N=2;b=0;[(0,0),(0,0),(0,0)]} is not a diamond: it holds 1, not 2, cells"),
+        (_three_edges_at_a_vertex, "ridge X{n=3;N=2;b=1;[(0,0),(1,+1),(1,-1)]} lies in 3 top cells"),
+        (_vertex_without_cofaces, None))]
+    + [pytest.param(_perturbed, (3, _without_a_triangle), None, id="build(3,3)-triangle"),
+       pytest.param(_perturbed, (1, _book),
+                    "ridge X{n=3;N=1;b=1;[(0,0),(0,+1),(0,-1)]} lies in 3 top cells",
+                    id="three-triangles-on-one-edge"),
+       pytest.param(_perturbed, (1, _digon), ONLY_A_SWAP, id="digon"),
+       pytest.param(_perturbed, (1, lambda cx: _digon(cx, False)), ONLY_A_SWAP,
+                    id="two-edges-one-pair"),
+       pytest.param(_perturbed, (2, _moebius), None, id="moebius-strip"),
+       # the path on four vertices: only its reflection
+       pytest.param(dc.build, (2, 3), ONLY_A_SWAP, id="build(2,3)"),
+       # the flags ignore the extra pair, which the reflection does not keep
+       pytest.param(_perturbed, (1, _vertex_on_a_far_triangle), [False] * 5,
+                    id="vertex-on-a-far-triangle")]
 )
 
 
-@pytest.mark.parametrize("make, args", AUTOMORPHISM_CASES)
-def test_automorphism_search_matches_reference(make, args):
+@pytest.mark.parametrize("make, args, changed", AUTOMORPHISM_CASES)
+def test_automorphism_search_matches_reference(make, args, changed):
     cx = make(*args)
-    for order in range(2, 7):
-        got = _outcome(dc.has_automorphism, cx, order)
-        assert got == _outcome(reference_has_automorphism, cx, order)
+    got = [_outcome(dc.has_automorphism, cx, order) for order in range(2, 7)]
+    want = [_outcome(reference_has_automorphism, cx, order) for order in range(2, 7)]
+    if changed is None:
+        assert got == want
+    else:
+        assert all(isinstance(w, tuple) for w in want), want
+        assert got == (changed if isinstance(changed, list) else [(ValueError, changed)] * 5)
 
 
 def _without_an_edge_of_a_triangle(cx, vertex_instead=False):
@@ -557,33 +621,40 @@ def _without_an_edge_of_a_triangle(cx, vertex_instead=False):
     return cx.cells, cx.incidence - {(edge, tri)} | extra
 
 
+def _edge_without_ends(cx):
+    """The first edge of cx cut from both its vertices."""
+    e = cx.by_dim[1][0].id
+    return cx.cells, cx.incidence - {(v, e) for v in cx.down[e]}
+
+
 @pytest.mark.parametrize("perturb, message", [
-    (_book, r"^edge X\{.*\} lies in 3 triangles$"),
+    (_book, "ridge X{n=3;N=1;b=1;[(0,0),(0,+1),(0,-1)]} lies in 3 top cells"),
     (_without_an_edge_of_a_triangle,
-     r"^triangle X\{.*\} is not bounded by three edges$"),
+     "interval below X{n=3;N=1;b=3;[(0,+1),(0,+2),(0,-3)]} above "
+     "X{n=3;N=1;b=0;[(0,0),(0,0),(0,0)]} is not a diamond: it holds 1, not 2, cells"),
     (lambda cx: _without_an_edge_of_a_triangle(cx, True),
-     r"^triangle X\{.*\} is not bounded by three edges$"),
-    (lambda cx: _digon(cx, False), r"^complex is not a simple triangulation at edge X\{.*\}$"),
+     "interval below X{n=3;N=1;b=3;[(0,+1),(0,+2),(0,-3)]} above "
+     "X{n=3;N=1;b=0;[(0,0),(0,0),(0,0)]} is not a diamond: it holds 1, not 2, cells"),
+    (_edge_without_ends,
+     "cell X{n=3;N=1;b=1;[(0,0),(0,+1),(0,-1)]} lies in no flag"),
 ], ids=["three-triangles-on-one-edge", "triangle-without-an-edge", "triangle-with-a-vertex-for-an-edge",
-        "two-edges-one-pair"])
+        "edge-without-ends"])
 def test_automorphism_search_refuses_what_it_cannot_search(perturb, message):
     cx = _perturbed(1, perturb)
     for order in range(2, 7):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError) as err:
             dc.has_automorphism(cx, order)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("make, args, message", [
-    # the reflection of the 4-vertex path went unfound: False at order 2
-    (dc.build, (2, 3),
-     r"^automorphism search applies to n = 3 complexes, got \(n, N\) = \(2, 3\)$"),
     # no automorphism of order 3 fixes the extra edge, yet the search answered True
     (_perturbed, (3, _edge_between_far_vertices),
      r"^complex is not pure 2-dimensional at X\{n=3;N=4;.*\}$"),
     # two isolated vertices could swap, and the search would miss it
     (_perturbed, (2, _vertex_without_cofaces),
      r"^complex is not pure 2-dimensional at X\{n=3;N=3;.*\}$"),
-], ids=["n=2", "edge-in-no-triangle", "vertex-in-no-triangle"])
+], ids=["edge-in-no-triangle", "vertex-in-no-triangle"])
 def test_automorphism_search_refuses_complexes_it_would_misread(make, args, message):
     cx = make(*args)
     for order in range(2, 7):
@@ -601,6 +672,47 @@ def test_automorphism_search_refuses_a_disconnected_complex():
             dc.has_automorphism(cx, order)
         assert str(err.value) == (
             "complex is not connected: %s lies outside the component of %s" % (vs[3].id, vs[0].id))
+
+
+def test_automorphism_search_refuses_top_cells_not_joined_through_ridges():
+    # swapping the two triangles is an automorphism, yet the search answered False
+    cx = _perturbed(2, lambda cx: _two_triangles(cx, share_a_vertex=True))
+    ts = cx.by_dim[2]
+    assert cx.is_connected()
+    for order in range(2, 7):
+        with pytest.raises(ValueError) as err:
+            dc.has_automorphism(cx, order)
+        assert str(err.value) == (
+            "top cells are not joined through ridges: %s is not reached from %s"
+            % (ts[1].id, ts[0].id))
+
+
+def test_automorphism_search_works_for_every_n():
+    cx = dc.build(4, 4)
+    shift = {c.id: dc._make_cell(st.Stratum(4, 4, c.b, [(p.tau + 1, p.x) for p in c.stratum.points]),
+                                 c.k).id
+             for c in cx.cells}
+    assert sorted(shift.values()) == sorted(shift)
+    assert {(shift[a], shift[b]) for a, b in cx.incidence} == cx.incidence
+    assert dc._permutation_order(shift) == 4
+    assert dc.has_automorphism(cx, 4)
+    assert dc.has_automorphism(dc.build(5, 1), 2)
+
+
+@pytest.mark.parametrize("n, N, orders", [
+    (3, 3, [1, 2, 2, 2, 3, 3]),  # the symmetries of a triangle
+    (4, 2, [1, 2, 2, 2, 2, 2, 4, 4]),  # the symmetries of a square
+])
+def test_only_automorphisms_propagate(n, N, orders):
+    cx = dc.build(n, N)
+    flags, flips = dc._flag_tables(cx)
+    degree = {c.id: len(cx.up[c.id]) for c in cx.cells}
+    found = [dc._propagate(flags, flips, degree, seed)[1] for seed in range(len(flags))]
+    found = [cmap for cmap in found if cmap is not None]
+    assert sorted(dc._permutation_order(cmap) for cmap in found) == orders
+    for cmap in found:
+        assert sorted(cmap.values()) == sorted(c.id for c in cx.cells)
+        assert {(cmap[a], cmap[b]) for a, b in cx.incidence} == cx.incidence
 
 
 @pytest.mark.parametrize("call, message", [
