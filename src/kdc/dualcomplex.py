@@ -124,7 +124,8 @@ class DualComplex:
 
     @cached_property
     def _derived(self) -> dict:
-        """Results computed once per complex: the disk report, layouts, the stray cell."""
+        """Results computed once per complex: the disk report, layouts, the stray cell, the
+        first incidence that is no cover."""
         return {}
 
     def f_vector(self) -> Tuple[int, ...]:
@@ -340,13 +341,23 @@ class DiskReport:
 def verify_disk(cx: DualComplex) -> DiskReport:
     """Check connectivity, purity, link and boundary conditions, and Euler.
 
-    The report is computed once per complex and kept on it.
+    An incidence whose dimensions do not differ by one is no cover, so it
+    is refused, not read as a failed axiom.  The report, or the first such
+    incidence, is found once per complex and kept on it.
     """
     if cx.n != 3:
         raise ValueError(
             "disk verification applies to n = 3 complexes, got (n, N) = (%d, %d)"
             % (cx.n, cx.N)
         )
+    if "skew" not in cx._derived:  # the first incidence in sorted order that is no cover
+        cell = cx.by_id
+        cx._derived["skew"] = min(
+            ((lo, hi, cell[lo].dim, cell[hi].dim) for lo, hi in cx.incidence
+             if cell[hi].dim - cell[lo].dim != 1), default=None)
+    if cx._derived["skew"] is not None:
+        raise ValueError("incidence (%r, %r) joins dims %d and %d, not d and d + 1"
+                         % cx._derived["skew"])
     report = cx._derived.get("disk")
     if report is None:
         report = cx._derived["disk"] = _check_disk(cx)

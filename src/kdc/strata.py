@@ -12,7 +12,9 @@ agree.  The weight route decides existence from the coefficients of the
 weight in r; find_admissible_r with a bound instead runs an exhaustive
 bitset scan over every tuple up to that total, which returns a witness
 of the smallest total (the order among tuples of equal total is
-unspecified).
+unspecified).  The scan's bitsets depend only on the shift set of the
+weight's coefficients, so every scan with the same shifts shares one
+list of them, grown to the deepest total any scan has asked for.
 """
 
 from __future__ import annotations
@@ -54,9 +56,11 @@ class Stratum:
     Validation enforces |x| <= b+1 and stability, meaning every level
     1..b carries at least one point.
 
-    The chart facts and the valid levels are computed on first use and
-    kept in the ``_chart`` and ``_levels`` slots.  They are not fields,
-    so equality, hashing and repr ignore them.
+    The chart facts and the valid levels live in the ``_chart`` and
+    ``_levels`` slots.  iter_strata sets both as it enumerates, reading
+    the levels off a per-chart table by residue sum; any other stratum
+    computes them on first use.  They are not fields, so equality,
+    hashing and repr ignore them.
     """
 
     __slots__ = ("n", "N", "b", "points", "_chart", "_levels")
@@ -93,29 +97,33 @@ class Stratum:
         missing = [lv for lv in range(1, b + 1) if lv not in occupied]
         if missing:
             raise ValueError(f"unstable stratum, empty level(s) {missing}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "points", tuple(pts))
+        _set_n(self, n)
+        _set_N(self, N)
+        _set_b(self, b)
+        _set_points(self, tuple(pts))
 
     def __reduce__(self):  # copy and pickle cannot set frozen slots; the constructor can
         return Stratum, (self.n, self.N, self.b, self.points)
 
     @classmethod
-    def _canonical(cls, n: int, N: int, b: int, points: tuple, chart=None) -> "Stratum":
+    def _canonical(cls, n: int, N: int, b: int, points: tuple, chart=None, levels=None) -> "Stratum":
         """Trusted constructor for points the engine holds in canonical form.
 
         The points must already be reduced mod N, flipped at the top level,
         in canonical order and stable; nothing is checked.  chart, when
-        given, is the _chart_facts entry of the stratum's chart.
+        given, is the _chart_facts entry of the stratum's chart, and
+        levels its valid_levels.  The slots are filled through their
+        descriptors, which the frozen __setattr__ does not guard.
         """
         s = object.__new__(cls)
-        object.__setattr__(s, "n", n)
-        object.__setattr__(s, "N", N)
-        object.__setattr__(s, "b", b)
-        object.__setattr__(s, "points", points)
+        _set_n(s, n)
+        _set_N(s, N)
+        _set_b(s, b)
+        _set_points(s, points)
         if chart is not None:
-            object.__setattr__(s, "_chart", chart)
+            _set_chart(s, chart)
+        if levels is not None:
+            _set_levels(s, levels)
         return s
 
     @property
@@ -124,6 +132,11 @@ class Stratum:
 
     def __str__(self) -> str:
         return format_stratum(self)
+
+
+# the slot setters, captured once: cheaper than object.__setattr__ by name
+_set_n, _set_N, _set_b, _set_points, _set_chart, _set_levels = (
+    Stratum.__dict__[name].__set__ for name in Stratum.__slots__)
 
 
 def canonical_key(s: Stratum):
@@ -161,7 +174,7 @@ def _facts(s: Stratum) -> tuple[LineChart, frozenset[int], bool]:
         tail = [p.x for p in s.points if abs(p.x) >= level]
         verts.append((len(tail), sum(1 if x > 0 else -1 for x in tail)))
     facts = _chart_facts(s.n, tuple(verts))
-    object.__setattr__(s, "_chart", facts)
+    _set_chart(s, facts)
     return facts
 
 
@@ -238,7 +251,7 @@ def valid_levels(s: Stratum) -> tuple[int, ...]:
         pass
     t = s.tau_sum
     levels = tuple(sorted(k for k in _facts(s)[1] if (t + k) % s.N == 0))
-    object.__setattr__(s, "_levels", levels)
+    _set_levels(s, levels)
     return levels
 
 
@@ -604,13 +617,19 @@ def _scan_coefficients(counts, N: int, b: int) -> tuple[int, list[int]]:
     return s2, coeff
 
 
+_DRAW_MASKS: dict[tuple[int, ...], list[int]] = {}
+
+
 def _scan_bound(counts, N: int, b: int, bound: int) -> Optional[tuple[int, ...]]:
     """Smallest-total expansion tuple whose weight vanishes mod 2 N rsum."""
     s2, coeff = _scan_coefficients(counts, N, b)
     parts = b + 1
     cmin = min(coeff)
     shifts = sorted({c - cmin for c in coeff})
-    masks = [1]  # masks[m] has bit x set iff x is a sum of m shifted draws
+    # masks[m] has bit x set iff x is a sum of m shifted draws; the list is
+    # shared by every scan with these shifts and only ever grows
+    masks = _DRAW_MASKS.setdefault(tuple(shifts), [1])
+    csum = sum(coeff)
     for total in range(parts, bound + 1):
         m = total - parts
         while len(masks) <= m:
@@ -620,11 +639,12 @@ def _scan_bound(counts, N: int, b: int, bound: int) -> Optional[tuple[int, ...]]
                 grown |= prev << v
             masks.append(grown)
         q = 2 * N * total
-        lo = s2 * total + sum(coeff) + cmin * m
+        lo = s2 * total + csum + cmin * m
         hi = lo + shifts[-1] * m
+        mask = masks[m]
         value = -(-lo // q) * q
         while value <= hi:
-            if masks[m] >> (value - lo) & 1:
+            if mask >> (value - lo) & 1:
                 return _scan_witness(coeff, shifts, masks, m, value - lo)
             value += q
     return None
@@ -755,7 +775,8 @@ def iter_strata(
             facts = _chart_facts(n, verts)
             if admissible_only and not facts[1]:
                 continue
-            targets = {(-k) % N for k in facts[1]}
+            # by_sum[r]: valid_levels of every stratum of this chart with residue sum r
+            by_sum = [tuple(sorted(k for k in facts[1] if (r + k) % N == 0)) for r in range(N)]
             classes = sorted(_chart_classes(facts[0]), reverse=True)
             # per class: (residue sum, points) for each residue multiset
             pools = [
@@ -770,15 +791,16 @@ def iter_strata(
             order = sorted(range(len(classes)), key=lambda i: (classes[i][0], -classes[i][1]))
             at = order.index(len(classes) - 1)
             head, rest = order[:at], order[at + 1:]
-            # tails[r]: the last pool's points, in order, that suit a prefix of sum r
+            # tails[r]: the last pool's points, in order, that suit a prefix of
+            # sum r, with the levels of the whole
             last = pools.pop()
-            tails = [[pts for t, pts in last if not admissible_only or (r + t) % N in targets]
-                     for r in range(N)]
+            tails = [[(pts, by_sum[(r + t) % N]) for t, pts in last
+                      if not admissible_only or by_sum[(r + t) % N]] for r in range(N)]
             for prefix in itertools.product(*pools):
                 before = tuple(p for i in head for p in prefix[i][1])
                 after = tuple(p for i in rest for p in prefix[i][1])
-                for pts in tails[sum(t for t, _ in prefix) % N]:
-                    yield Stratum._canonical(n, N, bb, before + pts + after, facts)
+                for pts, levels in tails[sum(t for t, _ in prefix) % N]:
+                    yield Stratum._canonical(n, N, bb, before + pts + after, facts, levels)
 
 
 @functools.lru_cache(maxsize=None)

@@ -614,6 +614,23 @@ def test_automorphism_search_matches_reference(make, args, changed):
         assert got == (changed if isinstance(changed, list) else [(ValueError, changed)] * 5)
 
 
+def test_verify_disk_refuses_an_incidence_that_skips_a_dimension():
+    cx = _perturbed(1, _vertex_on_a_far_triangle)
+    v, t = "X{n=3;N=1;b=0;[(0,0),(0,0),(0,0)]}", "X{n=3;N=1;b=3;[(0,+1),(0,+2),(0,+3)]}"
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            dc.verify_disk(cx)
+        assert str(err.value) == "incidence (%r, %r) joins dims 0 and 2, not d and d + 1" % (v, t)
+    assert cx._derived["skew"] == (v, t, 0, 2) and "disk" not in cx._derived
+    assert [dc.has_automorphism(cx, order) for order in range(2, 7)] == [False] * 5
+    # of several such pairs the first in sorted order is named, here one in a dimension
+    w = cx.by_dim[0][1].id
+    two = dc.DualComplex(3, 1, cx.cells, cx.incidence | {(v, w)})
+    with pytest.raises(ValueError) as err:
+        dc.verify_disk(two)
+    assert str(err.value) == "incidence (%r, %r) joins dims 0 and 0, not d and d + 1" % (v, w)
+
+
 def _without_an_edge_of_a_triangle(cx, vertex_instead=False):
     edge, tri = "X{n=3;N=1;b=1;[(0,0),(0,+1),(0,-1)]}", "X{n=3;N=1;b=3;[(0,+1),(0,+2),(0,-3)]}"
     assert (edge, tri) in cx.incidence

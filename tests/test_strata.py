@@ -1,6 +1,9 @@
 import copy
+import dataclasses
 import hashlib
+import functools
 import itertools
+import operator
 import pickle
 
 import pytest
@@ -440,6 +443,55 @@ def test_bounded_scan_finds_a_smallest_total():
             assert (st.W_plus(occ, found) + st.W_minus(occ, found)) % (2 * occ.N * found.rsum) == 0
 
 
+def _per_call_scan_bound(counts, N, b, bound):
+    """Reference bounded scan that builds its own draw masks on every call."""
+    s2, coeff = st._scan_coefficients(counts, N, b)
+    parts = b + 1
+    cmin = min(coeff)
+    shifts = sorted({c - cmin for c in coeff})
+    masks = [1]
+    for total in range(parts, bound + 1):
+        m = total - parts
+        while len(masks) <= m:
+            prev = masks[-1]
+            grown = 0
+            for v in shifts:
+                grown |= prev << v
+            masks.append(grown)
+        q = 2 * N * total
+        lo = s2 * total + sum(coeff) + cmin * m
+        hi = lo + shifts[-1] * m
+        value = -(-lo // q) * q
+        while value <= hi:
+            if masks[m] >> (value - lo) & 1:
+                return st._scan_witness(coeff, shifts, masks, m, value - lo)
+            value += q
+    return None
+
+
+def test_shared_draw_masks_match_a_per_call_scan():
+    cases = [(st.occupancy(s).counts, N, s.b)
+             for n in range(1, 5) for N in range(1, 4) for s in st.iter_strata(n, N)]
+    cases += [((1, 1, 1, 0, 0, 0), 1, 2), ((0, 2, 1, 0, 0, 0), 1, 2)]
+    want = {bound: [_per_call_scan_bound(*case, bound) for case in cases] for bound in (6, 12, 48)}
+    st._DRAW_MASKS.clear()
+    # the first pass fills the lists; later ones read them shallower, then deeper
+    for bound in (48, 6, 12, 48):
+        assert [st._scan_bound(*case, bound) for case in cases] == want[bound]
+    assert want[48][-2:] == [None, (3, 1, 1)]
+    # one list per shift set, holding what a fresh build gives
+    shift_sets = set()
+    for counts, N, b in cases:
+        _, coeff = st._scan_coefficients(counts, N, b)
+        shift_sets.add(tuple(sorted({c - min(coeff) for c in coeff})))
+    assert set(st._DRAW_MASKS) == shift_sets
+    for shifts, masks in st._DRAW_MASKS.items():
+        fresh = [1]
+        while len(fresh) < len(masks):
+            fresh.append(functools.reduce(operator.or_, (fresh[-1] << v for v in shifts)))
+        assert masks == fresh
+
+
 @given(hs.sampled_from(POOL_32))
 def test_weight_oracle_matches_admissibility(s):
     assert st.r_exists(st.occupancy(s)) == st.is_admissible(s)
@@ -578,6 +630,42 @@ def test_copy_and_pickle_round_trip():
     for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
         assert t.points == s.points
         assert st.valid_levels(t) == st.valid_levels(s)
+
+
+def test_trusted_constructor_behaves_like_the_validated_one():
+    for s in st.iter_strata(3, 2):
+        facts, levels = s._chart, s._levels
+        bare = st.Stratum._canonical(s.n, s.N, s.b, s.points)
+        full = st.Stratum._canonical(s.n, s.N, s.b, s.points, facts, levels)
+        checked = st.Stratum(s.n, s.N, s.b, s.points)
+        for t in (s, bare, full):
+            assert t == checked and hash(t) == hash(checked) and repr(t) == repr(checked)
+            for again in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+                assert again == checked and repr(again) == repr(checked)
+                assert st.valid_levels(again) == levels
+        assert full._chart is facts and full._levels is levels
+        assert not hasattr(bare, "_chart") and not hasattr(bare, "_levels")
+        assert st.valid_levels(bare) == levels and bare._chart is facts
+    for name, value in (("n", 1), ("points", ()), ("_levels", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, value)
+    assert s.n == 3 and s._levels == levels
+
+
+# strata with two valid levels first occur at n = 5
+TWO_LEVEL_STRATA = {(5, 1): 64, (5, 2): 0, (6, 1): 256}
+
+
+@pytest.mark.parametrize("n, N", [(n, N) for n in range(1, 6) for N in range(1, 4)
+                                  if n < 5 or N <= 2] + [(6, 1)])
+def test_enumeration_attaches_the_valid_levels(n, N):
+    for admissible_only in (False, True):
+        two = 0
+        for s in st.iter_strata(n, N, admissible_only=admissible_only):
+            assert s._levels == st.valid_levels(st.Stratum(n, N, s.b, s.points))
+            assert st.valid_levels(s) is s._levels
+            two += len(s._levels) == 2
+        assert two == TWO_LEVEL_STRATA.get((n, N), 0)
 
 
 def test_cached_chart_facts_match_recomputation(engine_strata):
