@@ -46,40 +46,48 @@ class Cell:
         return self.stratum.b
 
 
-def _lattice_shape(chart, k: int) -> Tuple[int, int, int]:
-    on = sum(1 for v in chart.vertices if v.y == 2 * k)
-    above = sum(1 for v in chart.vertices if v.y > 2 * k)
-    below = sum(1 for v in chart.vertices if v.y < 2 * k)
-    return (on, above, below)
+def _cell_kind(s: st.Stratum, k: int) -> Tuple[Classification, Tuple[int, int, int], int, str]:
+    """(class, lattice shape, dimension, id template) of every cell of s's chart at k.
+
+    The template is s's literal with each residue left as ``%d``.  A
+    dimension that does not match the shape is reported on s's cell.
+    """
+    cls = st.classify_stratum(s, k)
+    ys = st.chart_of(s).heights
+    shape = (ys.count(2 * k), sum(y > 2 * k for y in ys), sum(y < 2 * k for y in ys))
+    dim = st.cell_dimension(s)
+    body = ",".join("(%%d,%+d)" % p.x if p.x else "(%d,0)" for p in s.points)
+    template = "X{n=%d;N=%d;b=%d;[%s]}" % (s.n, s.N, s.b, body)
+    expected = shape[0] - 1 if cls is Classification.NARROW else sum(shape) - 2
+    if dim != expected:
+        raise InvariantError("cell dimension %d does not match lattice shape %r of %s" % (
+            dim, shape, _cell_id(template, st._residues(s), k, st.valid_levels(s))))
+    return cls, shape, dim, template
+
+
+def _cell_id(template: str, taus: Tuple[int, ...], k: int, levels: Tuple[int, ...]) -> str:
+    """The id of a stratum's cell at k: the stratum literal, with ``@k=``
+    exactly when its valid levels make it span two cells."""
+    return template % taus + ("@k=%d" % k if len(levels) > 1 else "")
 
 
 def _make_cell(s: st.Stratum, k: Optional[int] = None) -> Cell:
     """The cell of s at valid level k, by default at its only one.
 
-    This is the one place that names a cell: the stratum literal, with
-    ``@k=`` exactly when s spans two cells.
+    Its kind and id come from _cell_kind and _cell_id, as build's cells do.
     """
     levels = st.valid_levels(s)
-    cid = st.format_stratum(s)
-    if not levels:
-        raise ValueError("%s is inadmissible" % cid)
-    if k is None:
-        if len(levels) > 1:
-            raise ValueError("neutral level of %s is ambiguous, name one of %r" % (cid, levels))
+    if k is None and len(levels) == 1:
         k = levels[0]
     if k not in levels:
-        raise ValueError("k=%d is not a valid neutral level of %s" % (k, cid))
-    if len(levels) > 1:
-        cid += "@k=%d" % k
-    cls = st.classify_stratum(s, k)
-    shape = _lattice_shape(st.chart_of(s), k)
-    dim = st.cell_dimension(s)
-    expected = shape[0] - 1 if cls is Classification.NARROW else sum(shape) - 2
-    if dim != expected:
-        raise InvariantError(
-            "cell dimension %d does not match lattice shape %r of %s" % (dim, shape, cid)
-        )
-    return Cell(cid, s, k, dim, cls, shape)
+        name = st.format_stratum(s)
+        if not levels:
+            raise ValueError("%s is inadmissible" % name)
+        if k is None:
+            raise ValueError("neutral level of %s is ambiguous, name one of %r" % (name, levels))
+        raise ValueError("k=%d is not a valid neutral level of %s" % (k, name))
+    cls, shape, dim, template = _cell_kind(s, k)
+    return Cell(_cell_id(template, st._residues(s), k, levels), s, k, dim, cls, shape)
 
 
 @dataclass(frozen=True)
@@ -161,35 +169,44 @@ def _stray_cell(cx: DualComplex) -> Optional[str]:
 
 @functools.lru_cache(maxsize=None)
 def build(n: int, N: int) -> DualComplex:
-    """Assemble the dual complex of all admissible cells at (n, N)."""
+    """Assemble the dual complex of all admissible cells at (n, N).
+
+    The cells of one chart and level form a group: its first stratum gives
+    the kind of all of them (_cell_kind), each id fills the group's
+    template with the cell's residues, and the group's face plans find each
+    codim-1 face by its residues in the index of the face's group.
+    """
     if n < 2:
         raise ValueError("need n >= 2, got n=%d" % n)
     if N < 1:
         raise ValueError("need N >= 1, got N=%d" % N)
-    cells = [_make_cell(s, k) for s in st._admissible_flat(n, N) for k in st.valid_levels(s)]
-    by_chart: Dict[tuple, List[Cell]] = {}  # the cells of a chart and level share face plans
-    for c in cells:
-        by_chart.setdefault((st.chart_of(c.stratum).vertices, c.k), []).append(c)
-    index = {}
-    for group in by_chart.values():
-        xs = tuple(p.x for p in group[0].stratum.points)
-        for c in group:
-            index[(c.b, xs, c.k, *st._residues(c.stratum))] = c.id
+    groups: Dict[tuple, List[st.Stratum]] = {}
+    for s in st._admissible_flat(n, N):
+        for k in st.valid_levels(s):
+            groups.setdefault((st.chart_of(s).vertices, k), []).append(s)
+    cells, work = [], []
+    ids: Dict[tuple, Dict[Tuple[int, ...], str]] = {}  # (b, xs, k) -> residues -> cell id
+    for (_, k), members in groups.items():
+        first = members[0]
+        cls, shape, dim, template = _cell_kind(first, k)
+        named = ids[(first.b, tuple(p.x for p in first.points), k)] = {}
+        for s in members:
+            taus = st._residues(s)
+            cid = named[taus] = _cell_id(template, taus, k, st.valid_levels(s))
+            cells.append(Cell(cid, s, k, dim, cls, shape))
+        work.append((first, k, named))
 
     incidence = set()
-    for group in by_chart.values():
-        plans = st._plans(st.chart_of(group[0].stratum), group[0].k, 1)
-        for c in group:
-            taus = st._residues(c.stratum)
-            for plan in plans:
+    for first, k, named in work:
+        for plan in st._plans(st.chart_of(first), k, 1):
+            target = ids.get((plan.b, plan.xs, plan.k), {})
+            for taus, cid in named.items():
                 face = plan.residues(taus, N)
-                fid = index.get((plan.b, plan.xs, plan.k, *face))
+                fid = target.get(face)
                 if fid is None:
-                    raise InvariantError(
-                        "face %s missing from enumeration, a face of %s"
-                        % (st.format_stratum(plan.stratum(n, N, face)), c.id)
-                    )
-                incidence.add((fid, c.id))
+                    raise InvariantError("face %s missing from enumeration, a face of %s"
+                                         % (st.format_stratum(plan.stratum(n, N, face)), cid))
+                incidence.add((fid, cid))
 
     cells.sort(key=lambda c: c.id)
     return DualComplex(n, N, tuple(cells), frozenset(incidence))

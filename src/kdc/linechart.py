@@ -53,6 +53,15 @@ class LineChart:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "vertices", tuple(LatticeVertex(*v) for v in vertices))
 
+    @classmethod
+    def _complete(cls, ys: tuple[int, ...]) -> "LineChart":
+        """Trusted constructor of the complete chart with heights ys, valid by construction."""
+        chart = object.__new__(cls)
+        vertices = tuple(map(tuple.__new__, itertools.repeat(LatticeVertex), enumerate(ys)))
+        object.__setattr__(chart, "n", len(ys) - 1)
+        object.__setattr__(chart, "vertices", vertices)
+        return chart
+
     def __str__(self) -> str:
         return format_chart(self)
 
@@ -197,13 +206,8 @@ def count_admissible_subcharts(chart: LineChart) -> int:
 
 
 def _complete_charts(n: int) -> list[LineChart]:
-    charts = []
-    for steps in itertools.product((1, -1), repeat=n):
-        ys = [0]
-        for d in steps:
-            ys.append(ys[-1] + d)
-        charts.append(LineChart(n, enumerate(ys)))
-    return charts
+    return [LineChart._complete(tuple(itertools.accumulate(steps, initial=0)))
+            for steps in itertools.product((1, -1), repeat=n)]
 
 
 def enumerate_complete_admissible(n: int) -> list[tuple[LineChart, int]]:
@@ -211,9 +215,14 @@ def enumerate_complete_admissible(n: int) -> list[tuple[LineChart, int]]:
     if n < 1:
         raise ValueError("n must be at least 1")
     pairs = []
-    for chart in _complete_charts(n):
-        for k in sorted(_levels_of_heights(chart.heights)):
-            pairs.append((chart, k))
+    for steps in itertools.product((1, -1), repeat=n):
+        ys = tuple(itertools.accumulate(steps, initial=0))
+        # a complete chart is wide (its first step leaves height 0), so its
+        # levels are the k with min(ys) < 2k < max(ys), in ascending order
+        ks = range(min(ys) // 2 + 1, -(-max(ys) // 2))
+        if ks:
+            chart = LineChart._complete(ys)
+            pairs += [(chart, k) for k in ks]
     return pairs
 
 

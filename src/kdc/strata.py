@@ -14,7 +14,8 @@ bitset scan over every tuple up to that total, which returns a witness
 of the smallest total (the order among tuples of equal total is
 unspecified).  The scan's bitsets depend only on the shift set of the
 weight's coefficients, so every scan with the same shifts shares one
-list of them, grown to the deepest total any scan has asked for.
+list of them, grown to the deepest total any scan has asked for up to a
+fixed depth; a deeper scan extends a copy of its own.
 """
 
 from __future__ import annotations
@@ -331,12 +332,12 @@ class FacePlan(NamedTuple):
     k: int
     segments: tuple
 
-    def residues(self, taus: tuple[int, ...], N: int) -> list[int]:
+    def residues(self, taus: tuple[int, ...], N: int) -> tuple[int, ...]:
         out = []
         for lo, hi, merged in self.segments:
             out += taus[lo:hi] if merged is None else sorted(
                 [(t + shift) % N for lo, hi, shift in merged for t in taus[lo:hi]])
-        return out
+        return tuple(out)
 
     def stratum(self, n: int, N: int, taus) -> Stratum:
         return Stratum._canonical(n, N, self.b, tuple(map(PointLabel, taus, self.xs)))
@@ -544,8 +545,21 @@ def m_vector(s: Stratum, r) -> OccupancyVector:
 
 
 def occupancy(s: Stratum) -> OccupancyVector:
-    """m_vector at the all-ones expansion, one component per level and sign."""
-    return m_vector(s, (1,) * (s.b + 1))
+    """m_vector at the all-ones expansion, one component per level and sign.
+
+    A point lands on component 2(b+1)tau + x mod 2N(b+1); the vector is valid
+    by construction, so it skips m_vector's checks.
+    """
+    period = s.b + 1
+    size = 2 * s.N * period
+    counts = [0] * size
+    for tau, x in s.points:
+        counts[(2 * period * tau + x) % size] += 1
+    m = object.__new__(OccupancyVector)
+    object.__setattr__(m, "b", s.b)
+    object.__setattr__(m, "N", s.N)
+    object.__setattr__(m, "counts", tuple(counts))
+    return m
 
 
 def _counts_nb(m, N: Optional[int], b: Optional[int]) -> tuple[tuple[int, ...], int, int]:
@@ -618,6 +632,9 @@ def _scan_coefficients(counts, N: int, b: int) -> tuple[int, list[int]]:
 
 
 _DRAW_MASKS: dict[tuple[int, ...], list[int]] = {}
+# the shared lists stop at this many draws (the battery's deepest scan takes
+# 47); a deeper scan grows a copy of its own and drops it on return
+_SHARED_DRAWS = 64
 
 
 def _scan_bound(counts, N: int, b: int, bound: int) -> Optional[tuple[int, ...]]:
@@ -627,12 +644,14 @@ def _scan_bound(counts, N: int, b: int, bound: int) -> Optional[tuple[int, ...]]
     cmin = min(coeff)
     shifts = sorted({c - cmin for c in coeff})
     # masks[m] has bit x set iff x is a sum of m shifted draws; the list is
-    # shared by every scan with these shifts and only ever grows
+    # shared by every scan with these shifts and grows up to _SHARED_DRAWS
     masks = _DRAW_MASKS.setdefault(tuple(shifts), [1])
     csum = sum(coeff)
     for total in range(parts, bound + 1):
         m = total - parts
         while len(masks) <= m:
+            if len(masks) == _SHARED_DRAWS + 1:
+                masks = masks[:]
             prev = masks[-1]
             grown = 0
             for v in shifts:

@@ -788,6 +788,27 @@ def test_cell_invariant_names_its_cell(monkeypatch):
     )
 
 
+def test_build_invariant_names_the_first_cell_of_its_group(monkeypatch):
+    first = st._admissible_flat(3, 1)[0]
+    cell = dc.build(3, 1).by_stratum[first][0]
+    monkeypatch.setattr(st, "cell_dimension", lambda s: 7)
+    with pytest.raises(InvariantError) as err:
+        dc.build.__wrapped__(3, 1)
+    assert str(err.value) == "cell dimension 7 does not match lattice shape %r of %s" % (
+        cell.lattice_shape, st.format_stratum(first))
+
+
+@pytest.mark.parametrize("n, N", [(3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3),
+                                  (5, 1), (5, 2), (6, 1)])
+def test_build_ids_are_stratum_literals(n, N):
+    cx = dc.build(n, N)
+    spans = Counter(c.stratum for c in cx.cells)
+    for c in cx.cells:
+        assert c.id == st.format_stratum(c.stratum) + ("@k=%d" % c.k if spans[c.stratum] > 1 else "")
+        assert dc._make_cell(c.stratum, c.k) == c
+    assert max(spans.values()) == (2 if (n, N) in ((5, 1), (6, 1)) else 1)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as hs
 
@@ -203,6 +205,29 @@ def test_complete_admissible_counts_small():
     assert len(lc.enumerate_complete_admissible(2)) == 0
     assert len(lc.enumerate_complete_admissible(4)) == 8
     assert len(lc.enumerate_complete_admissible(5)) == 28
+
+
+def _reference_complete_charts(n):
+    """Every complete chart on n points, built and validated step by step."""
+    charts = []
+    for steps in itertools.product((1, -1), repeat=n):
+        ys = [0]
+        for d in steps:
+            ys.append(ys[-1] + d)
+        charts.append(lc.LineChart(n, enumerate(ys)))
+    return charts
+
+
+def test_complete_admissible_matches_validated_reference():
+    for n in range(1, 13):
+        want = [(c, k) for c in _reference_complete_charts(n) for k in sorted(lc.valid_neutral_levels(c))]
+        got = lc.enumerate_complete_admissible(n)
+        assert got == want
+        for c, _ in got:
+            assert type(c.vertices) is tuple and all(type(v) is lc.LatticeVertex for v in c.vertices)
+            assert hash(c) == hash(lc.LineChart(n, c.vertices)) and c.is_complete()
+    for n in range(1, 7):
+        assert lc._complete_charts(n) == _reference_complete_charts(n)
 
 
 def test_complete_extensions():

@@ -369,6 +369,15 @@ def test_m_vector_small():
         st.m_vector(s, (1, 1))
 
 
+def test_occupancy_is_m_vector_at_all_ones():
+    for n in range(1, 5):
+        for N in range(1, 4):
+            for s in st.iter_strata(n, N):
+                got, want = st.occupancy(s), st.m_vector(s, (1,) * (s.b + 1))
+                assert (got.counts, got.N, got.b) == (want.counts, want.N, want.b)
+                assert got == want and type(got.counts) is tuple
+
+
 def test_m_vector_respects_signs_and_residues():
     s = mk(2, 2, 1, (1, -2), taus=(0, 1))
     m = st.m_vector(s, (2, 1))
@@ -490,6 +499,19 @@ def test_shared_draw_masks_match_a_per_call_scan():
         while len(fresh) < len(masks):
             fresh.append(functools.reduce(operator.or_, (fresh[-1] << v for v in shifts)))
         assert masks == fresh
+
+
+def test_deep_scans_keep_shared_draw_masks_at_the_cap():
+    st._DRAW_MASKS.clear()
+    m = st.OccupancyVector(2, 1, (1, 1, 1, 0, 0, 0))
+    assert st.find_admissible_r(m, bound=3000) is None
+    assert _per_call_scan_bound(m.counts, 1, 2, 3000) is None
+    assert max(map(len, st._DRAW_MASKS.values())) <= st._SHARED_DRAWS + 1
+    # scans past the cap read the shared masks, then their own copy
+    cases = [(st.occupancy(s).counts, N, s.b) for N in (1, 2) for s in st.iter_strata(3, N)]
+    assert [st._scan_bound(*case, 100) for case in cases] == [
+        _per_call_scan_bound(*case, 100) for case in cases]
+    assert max(map(len, st._DRAW_MASKS.values())) == st._SHARED_DRAWS + 1
 
 
 @given(hs.sampled_from(POOL_32))
