@@ -37,25 +37,25 @@ def ballot(n: int) -> int:
 
 
 def m_k(N: int, k: int) -> int:
-    """Unordered residue triples mod N with t1 + t2 + t3 + k = 0 (mod N)."""
+    """Unordered residue triples mod N with t1 + t2 + t3 + k = 0 (mod N): each
+    pair t1 <= t2 fixes t3 mod N, and the triple counts when t3 >= t2."""
     if N < 1:
         raise ValueError("N must be positive")
-    return sum(
-        1
-        for triple in itertools.combinations_with_replacement(range(N), 3)
-        if (sum(triple) + k) % N == 0
-    )
+    return sum((-k - t1 - t2) % N >= t2 for t1 in range(N) for t2 in range(t1, N))
 
 
 def m_profile(N: int) -> Tuple[int, ...]:
-    """All m_k(N, k) for k = 0..N-1 from a single sweep over triples."""
+    """All m_k(N, k) for k = 0..N-1: the triples over a pair t1 <= t2 have the
+    N - t2 consecutive sums from t1 + 2 t2, one window of a difference array."""
     if N < 1:
         raise ValueError("N must be positive")
-    buckets = [0] * N
-    for triple in itertools.combinations_with_replacement(range(N), 3):
-        buckets[sum(triple) % N] += 1
+    diff = [0] * (3 * N)
+    for t1, t2 in itertools.combinations_with_replacement(range(N), 2):
+        diff[t1 + 2 * t2] += 1
+        diff[t1 + t2 + N] -= 1
+    sums = list(itertools.accumulate(diff))  # triples per exact sum
     # m(k) counts triples with sum = -k
-    return tuple(buckets[(-k) % N] for k in range(N))
+    return tuple(sum(sums[-k % N::N]) for k in range(N))
 
 
 def sum_of_three(N: int) -> int:

@@ -9,7 +9,8 @@ participates in cone building.  No coordinates, no hulls.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Tuple
 
 Face = FrozenSet[Hashable]
@@ -21,7 +22,7 @@ def _face_key(face: Face) -> Tuple:
 
 class FacePoset:
     """Finite graded poset of faces ordered by inclusion of supports; covers(),
-    is_graded() and iso all read one cached pairwise scan of it, _scan."""
+    is_graded() and iso all read one cached bitset scan of it, _scan."""
 
     def __init__(self, dims: Mapping[Face, int]):
         self._dims: Dict[Face, int] = {}
@@ -73,19 +74,27 @@ class FacePoset:
     def _scan(self):
         """(up, down, monotone): each face's covers in face order, and whether
         every strict inclusion raises the dimension."""
-        up: Dict[Face, list] = {f: [] for f in self._faces}
-        down: Dict[Face, list] = {f: [] for f in self._faces}
+        faces, dims = self._faces, self._dims
+        having: Dict[Hashable, int] = {}  # label -> bitset of the faces holding it
+        of_dim: Dict[int, int] = {}  # dimension -> bitset of its faces
+        for i, f in enumerate(faces):
+            for label in f:
+                having[label] = having.get(label, 0) | 1 << i
+            of_dim[dims[f]] = of_dim.get(dims[f], 0) | 1 << i
+        at_most = {d: sum(v for e, v in of_dim.items() if e <= d) for d in of_dim}
+        up: Dict[Face, list] = {f: [] for f in faces}
+        down: Dict[Face, list] = {f: [] for f in faces}
         monotone = True
-        for f in self._faces:
-            df = self._dims[f]
-            for g in self._faces:
-                if f < g:
-                    dg = self._dims[g]
-                    if dg <= df:
-                        monotone = False
-                    elif dg == df + 1:
-                        up[f].append(g)
-                        down[g].append(f)
+        for i, f in enumerate(faces):
+            above = reduce(and_, map(having.__getitem__, f)) & ~(1 << i)  # strict supersets
+            if above & at_most[dims[f]]:
+                monotone = False
+            covers = above & of_dim.get(dims[f] + 1, 0)
+            while covers:
+                g = faces[(covers & -covers).bit_length() - 1]
+                up[f].append(g)
+                down[g].append(f)
+                covers &= covers - 1
         return up, down, monotone
 
     def covers(self) -> Tuple[Tuple[Face, Face], ...]:
@@ -224,8 +233,9 @@ def iso(p: FacePoset, q: FacePoset) -> bool:
         return False
     if p.f_vector() != q.f_vector():
         return False
-    if not p.is_graded() or not q.is_graded():
-        raise ValueError("isomorphism testing needs graded posets")
+    for name, r in (("p", p), ("q", q)):
+        if not r.is_graded():
+            raise ValueError(f"iso needs graded posets; {name} is not, f-vector {r.f_vector()}")
     up_p, dn_p, _ = p._scan
     up_q, dn_q, _ = q._scan
     col_p = _refine_colors(p, up_p, dn_p)
@@ -235,8 +245,8 @@ def iso(p: FacePoset, q: FacePoset) -> bool:
     by_color: Dict[int, list] = {}
     for g, c in col_q.items():
         by_color.setdefault(c, []).append(g)
-    # most constrained first
-    order = sorted(p.faces, key=lambda f: (len(by_color[col_p[f]]), _face_key(f)))
+    # most constrained first; the sort is stable, so ties keep face order
+    order = sorted(p.faces, key=lambda f: len(by_color[col_p[f]]))
     mapping: Dict[Face, Face] = {}
     used = set()
 

@@ -631,15 +631,46 @@ def _scan_coefficients(counts, N: int, b: int) -> tuple[int, list[int]]:
     return s2, coeff
 
 
+# (class, bound) -> the bounded scan's witness, or with bound None the cancelling shift
+_CLASS_RESULTS: dict[tuple, Optional[tuple[int, ...]]] = {}
 _DRAW_MASKS: dict[tuple[int, ...], list[int]] = {}
 # the shared lists stop at this many draws (the battery's deepest scan takes
 # 47); a deeper scan grows a copy of its own and drops it on return
 _SHARED_DRAWS = 64
 
 
-def _scan_bound(counts, N: int, b: int, bound: int) -> Optional[tuple[int, ...]]:
-    """Smallest-total expansion tuple whose weight vanishes mod 2 N rsum."""
+def _class_of(m, N: Optional[int], b: Optional[int]) -> tuple[int, int, int, tuple[int, ...]]:
+    """(N, b, s2 mod 2N, coeff), which fixes both oracles' answers: moving s2 by
+    2N moves each scan target by a multiple of its modulus 2N*total and the
+    cancelling shift's t by one.  An OccupancyVector keeps its class in an
+    attribute that is not a field, so equality and repr ignore it."""
+    if N is None and b is None and isinstance(m, OccupancyVector):
+        if not hasattr(m, "_class"):
+            object.__setattr__(m, "_class", _class_of(m, m.N, m.b))
+        return m._class
+    counts, N, b = _counts_nb(m, N, b)
     s2, coeff = _scan_coefficients(counts, N, b)
+    return N, b, s2 % (2 * N), tuple(coeff)
+
+
+def _class_result(key: tuple, bound: Optional[int], counts=None) -> Optional[tuple[int, ...]]:
+    """The memoised answer; counts, the occupancy asking, only names it in an error."""
+    if (key, bound) not in _CLASS_RESULTS:
+        N, b, s2, coeff = key
+        try:
+            _CLASS_RESULTS[key, bound] = (_cancelling_shift(N, s2, coeff) if bound is None
+                                          else _class_scan(N, b, s2, coeff, bound))
+        except RuntimeError as exc:  # the bitset walk lost its witness
+            raise RuntimeError(f"{exc} for counts {counts} with N={N}, b={b}") from None
+    return _CLASS_RESULTS[key, bound]
+
+
+def _scan_bound(counts, N: int, b: int, bound: int) -> Optional[tuple[int, ...]]:
+    return _class_result(_class_of(counts, N, b), bound, counts)
+
+
+def _class_scan(N: int, b: int, s2: int, coeff: tuple, bound: int) -> Optional[tuple[int, ...]]:
+    """Smallest-total expansion tuple whose weight vanishes mod 2 N rsum."""
     parts = b + 1
     cmin = min(coeff)
     shifts = sorted({c - cmin for c in coeff})
@@ -678,7 +709,7 @@ def _scan_witness(coeff, shifts, masks, m: int, x: int) -> tuple[int, ...]:
                 x -= v
                 break
         else:
-            raise RuntimeError("bitset walk lost its witness")
+            raise RuntimeError(f"bitset walk lost its witness at {step} of {m} draws")
     cmin = min(coeff)
     r = [1] * len(coeff)
     for v, count in draws.items():
@@ -687,7 +718,7 @@ def _scan_witness(coeff, shifts, masks, m: int, x: int) -> tuple[int, ...]:
     return tuple(r)
 
 
-def _cancelling_shift(counts, N: int, b: int) -> Optional[list[int]]:
+def _cancelling_shift(N: int, s2: int, coeff: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     """First A - 2Nt, over t, that is all zero or takes both signs.
 
     A_i = s2 + coeff_i is the coefficient of r_i in W_plus + W_minus, so
@@ -696,11 +727,10 @@ def _cancelling_shift(counts, N: int, b: int) -> Optional[list[int]]:
     the shifted coefficients are all zero or take both signs, and only t
     between min(A)/2N and max(A)/2N can work, so the scan is finite.
     """
-    s2, coeff = _scan_coefficients(counts, N, b)
     A = [s2 + c for c in coeff]
     step = 2 * N
     for t in range(-((-min(A)) // step), max(A) // step + 1):
-        shifted = [a - step * t for a in A]
+        shifted = tuple(a - step * t for a in A)
         if all(v == 0 for v in shifted) or min(shifted) < 0 < max(shifted):
             return shifted
     return None
@@ -708,7 +738,7 @@ def _cancelling_shift(counts, N: int, b: int) -> Optional[list[int]]:
 
 def r_exists(m, N: Optional[int] = None, b: Optional[int] = None) -> bool:
     """Decide whether some positive expansion cancels the combined weight."""
-    return _cancelling_shift(*_counts_nb(m, N, b)) is not None
+    return _class_result(_class_of(m, N, b), None) is not None
 
 
 def find_admissible_r(
@@ -724,16 +754,15 @@ def find_admissible_r(
     tuples with that total it returns is unspecified.  Either witness is
     verified through W_plus and W_minus before being returned.
     """
-    counts, N, b = _counts_nb(m, N, b)
+    key = _class_of(m, N, b)
+    counts, N, b = _counts_nb(m, key[0], key[1])
+    found = _class_result(key, bound, counts)
+    if found is None:
+        return None
     if bound is not None:
-        found = _scan_bound(counts, N, b, bound)
-        if found is None:
-            return None
         witness = ExpansionTuple(found)
     else:
-        shifted = _cancelling_shift(counts, N, b)
-        if shifted is None:
-            return None
+        shifted = found
         witness = [1] * (b + 1)
         if any(shifted):
             i_pos = max(range(b + 1), key=lambda i: shifted[i])
@@ -748,7 +777,8 @@ def find_admissible_r(
         witness = ExpansionTuple(witness)
     combined = W_plus(counts, witness, N, b) + W_minus(counts, witness, N, b)
     if combined % (2 * N * witness.rsum):
-        raise RuntimeError("witness failed the weight check")
+        raise RuntimeError(
+            f"witness {witness.r} failed the weight check for counts {counts} with N={N}, b={b}")
     return witness
 
 

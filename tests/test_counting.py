@@ -53,6 +53,16 @@ def test_m_profile_matches_m_k(N):
     assert sum(profile) == math.comb(N + 2, 3)
 
 
+def test_pair_counts_match_a_triple_sweep():
+    for N in range(1, 41):
+        # reference: bucket every unordered triple by its sum mod N
+        buckets = [0] * N
+        for triple in itertools.combinations_with_replacement(range(N), 3):
+            buckets[sum(triple) % N] += 1
+        assert ct.m_profile(N) == tuple(buckets[-k % N] for k in range(N))
+        assert [ct.m_k(N, k) for k in range(-N, N + 1)] == [buckets[-k % N] for k in range(-N, N + 1)]
+
+
 @given(hs.integers(min_value=1, max_value=40))
 def test_sum_of_three(N):
     assert ct.sum_of_three(N) == (N + 2) * (N + 1) // 2

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import example, given, strategies as hs
 
+from kdc import dualcomplex as dc
 from kdc import polytope as pt
+from kdc import strata as st
 
 
 SQUARE = pt.product(pt.simplex(1), pt.simplex(1))
@@ -139,10 +141,59 @@ def test_iso_negative():
     assert not pt.iso(pt.simplex(2), pt.simplex(3))
 
 
+def pairwise_scan(p):
+    """Reference: (up, down, monotone) by an F^2 loop over pairs f < g."""
+    up = {f: [] for f in p.faces}
+    down = {f: [] for f in p.faces}
+    monotone = True
+    for f in p.faces:
+        for g in p.faces:
+            if f < g:
+                if p.dim_of(g) <= p.dim_of(f):
+                    monotone = False
+                elif p.dim_of(g) == p.dim_of(f) + 1:
+                    up[f].append(g)
+                    down[g].append(f)
+    return up, down, monotone
+
+
+def _verify_suite_posets():
+    """The c07 slice/cone pairs and the delta_K posets of c08 and c10."""
+    for total in range(2, 9):
+        for n_plus in range(1, total):
+            for n_minus in range(1, total - n_plus + 1):
+                n_zero = total - n_plus - n_minus
+                yield pt.slice_lattice(n_plus, n_minus, n_zero)
+                yield pt.cone(pt.product(pt.simplex(n_plus - 1), pt.simplex(n_minus - 1)), n_zero)
+    for n, xs in ((4, (1, 2, 3, 4)), (3, (1, 2, 3)), (3, (1, 2, -3))):
+        yield dc.delta_K(st.Stratum(n, 1, n, [(0, x) for x in xs])).poset
+    for N in (1, 2):
+        for s in st.iter_strata(4, N, b=4, admissible_only=True):
+            for k in st.valid_levels(s):
+                yield dc.delta_K(s, k).poset
+
+
+def test_bitset_scan_matches_the_pairwise_scan():
+    # a non-monotone poset: {1} < {1, 2} at equal dimension, with a cover {1} < {1, 3}
+    hand = pt.FacePoset({frozenset({1}): 1, frozenset({1, 2}): 1, frozenset({1, 3}): 2,
+                         frozenset({3}): 0, frozenset({1, 2, 3}): 3})
+    posets = [hand, *_verify_suite_posets()]
+    assert len(posets) == 1 + 168 + 3 + sum(
+        len(st.valid_levels(s)) for N in (1, 2) for s in st.iter_strata(4, N, b=4, admissible_only=True))
+    for p in posets:
+        up, down, monotone = pairwise_scan(p)
+        assert p._scan == (up, down, monotone)
+        assert p.is_graded() == reference_is_graded(p)
+    assert not hand._scan[2] and hand._scan[0][frozenset({1})] == [frozenset({1, 3})]
+
+
 def test_iso_needs_graded():
     gap = pt.FacePoset({frozenset({1}): 0, frozenset({1, 2}): 2})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"p is not, f-vector \(1, 0, 1\)"):
         pt.iso(gap, gap)
+    loose = pt.FacePoset({frozenset({1}): 0, frozenset({2}): 0, frozenset({3}): 1})
+    with pytest.raises(ValueError, match=r"q is not, f-vector \(2, 1\)"):
+        pt.iso(pt.simplex(1), loose)
 
 
 @given(

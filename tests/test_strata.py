@@ -452,9 +452,13 @@ def test_bounded_scan_finds_a_smallest_total():
             assert (st.W_plus(occ, found) + st.W_minus(occ, found)) % (2 * occ.N * found.rsum) == 0
 
 
-def _per_call_scan_bound(counts, N, b, bound):
-    """Reference bounded scan that builds its own draw masks on every call."""
+def _per_call_scan_bound(counts, N, b, bound, s2_shift=0):
+    """Reference bounded scan that builds its own draw masks on every call.
+
+    s2_shift moves the weight's constant coefficient s2 off its own value.
+    """
     s2, coeff = st._scan_coefficients(counts, N, b)
+    s2 += s2_shift
     parts = b + 1
     cmin = min(coeff)
     shifts = sorted({c - cmin for c in coeff})
@@ -484,6 +488,7 @@ def test_shared_draw_masks_match_a_per_call_scan():
     cases += [((1, 1, 1, 0, 0, 0), 1, 2), ((0, 2, 1, 0, 0, 0), 1, 2)]
     want = {bound: [_per_call_scan_bound(*case, bound) for case in cases] for bound in (6, 12, 48)}
     st._DRAW_MASKS.clear()
+    st._CLASS_RESULTS.clear()  # a remembered answer would skip growing the masks
     # the first pass fills the lists; later ones read them shallower, then deeper
     for bound in (48, 6, 12, 48):
         assert [st._scan_bound(*case, bound) for case in cases] == want[bound]
@@ -503,6 +508,7 @@ def test_shared_draw_masks_match_a_per_call_scan():
 
 def test_deep_scans_keep_shared_draw_masks_at_the_cap():
     st._DRAW_MASKS.clear()
+    st._CLASS_RESULTS.clear()
     m = st.OccupancyVector(2, 1, (1, 1, 1, 0, 0, 0))
     assert st.find_admissible_r(m, bound=3000) is None
     assert _per_call_scan_bound(m.counts, 1, 2, 3000) is None
@@ -512,6 +518,57 @@ def test_deep_scans_keep_shared_draw_masks_at_the_cap():
     assert [st._scan_bound(*case, 100) for case in cases] == [
         _per_call_scan_bound(*case, 100) for case in cases]
     assert max(map(len, st._DRAW_MASKS.values())) == st._SHARED_DRAWS + 1
+
+
+def _per_call_cancelling_shift(counts, N, b, s2_shift=0):
+    """Reference: the first A - 2Nt that is all zero or takes both signs."""
+    s2, coeff = st._scan_coefficients(counts, N, b)
+    A = [s2 + s2_shift + c for c in coeff]
+    step = 2 * N
+    for t in range(-((-min(A)) // step), max(A) // step + 1):
+        shifted = [a - step * t for a in A]
+        if all(v == 0 for v in shifted) or min(shifted) < 0 < max(shifted):
+            return shifted
+    return None
+
+
+def test_class_memo_matches_per_call_oracles_and_ignores_s2_mod_2N():
+    st._CLASS_RESULTS.clear()
+    strata = 0
+    for n in range(1, 5):
+        for N in range(1, 4):
+            bound = 4 * N * n
+            for s in st.iter_strata(n, N):
+                occ = st.occupancy(s)
+                case = (occ.counts, N, s.b)
+                found = st.find_admissible_r(occ, bound=bound)
+                shifted = st._class_result(st._class_of(occ, None, None), None)
+                for s2_shift in (0, 2 * N, -2 * N):
+                    assert _per_call_scan_bound(*case, bound, s2_shift) == (found and found.r)
+                    want = _per_call_cancelling_shift(*case, s2_shift)
+                    assert want == (shifted and list(shifted))
+                assert st.r_exists(occ) == (want is not None)
+                strata += 1
+    # one scan and one shift per coefficient class and bound, not per stratum
+    assert len(st._CLASS_RESULTS) < strata
+
+
+def test_witness_errors_name_their_occupancy(monkeypatch):
+    counts = (0, 2, 1, 0, 0, 0)
+    _, coeff = st._scan_coefficients(counts, 1, 2)
+    shifts = tuple(sorted({c - min(coeff) for c in coeff}))
+    monkeypatch.setattr(st, "_CLASS_RESULTS", {})
+    # masks claiming every sum at two draws but none at one: the walk back fails
+    monkeypatch.setattr(st, "_DRAW_MASKS", {shifts: [1, 0, (1 << 64) - 1]})
+    with pytest.raises(RuntimeError, match=r"^bitset walk lost its witness at 2 of 2 draws "
+                       r"for counts \(0, 2, 1, 0, 0, 0\) with N=1, b=2$"):
+        st.find_admissible_r(counts, bound=6, N=1, b=2)
+    monkeypatch.setattr(st, "_DRAW_MASKS", {})
+    monkeypatch.setattr(st, "W_plus", lambda *args: 1)
+    monkeypatch.setattr(st, "W_minus", lambda *args: 0)
+    with pytest.raises(RuntimeError, match=r"^witness \(3, 1, 1\) failed the weight check "
+                       r"for counts \(0, 2, 1, 0, 0, 0\) with N=1, b=2$"):
+        st.find_admissible_r(counts, bound=6, N=1, b=2)
 
 
 @given(hs.sampled_from(POOL_32))
