@@ -22,7 +22,7 @@ def a(n: int) -> int:
     a(1) = a(2) = 0 and a(n+2) = 4 a(n) + 4 C(n, floor(n/2)).
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise ValueError("n must be positive, got n=%d" % n)
     value = 0
     for m in range(2 - n % 2, n - 1, 2):  # a(m) -> a(m + 2), from a(1) or a(2)
         value = 4 * value + 4 * ballot(m)
@@ -32,7 +32,7 @@ def a(n: int) -> int:
 def ballot(n: int) -> int:
     """Central binomial C(n, floor(n/2)): nonnegative complete charts."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise ValueError("n must be nonnegative, got n=%d" % n)
     return math.comb(n, n // 2)
 
 
@@ -40,7 +40,7 @@ def m_k(N: int, k: int) -> int:
     """Unordered residue triples mod N with t1 + t2 + t3 + k = 0 (mod N): each
     pair t1 <= t2 fixes t3 mod N, and the triple counts when t3 >= t2."""
     if N < 1:
-        raise ValueError("N must be positive")
+        raise ValueError("N must be positive, got N=%d" % N)
     return sum((-k - t1 - t2) % N >= t2 for t1 in range(N) for t2 in range(t1, N))
 
 
@@ -48,7 +48,7 @@ def m_profile(N: int) -> Tuple[int, ...]:
     """All m_k(N, k) for k = 0..N-1: the triples over a pair t1 <= t2 have the
     N - t2 consecutive sums from t1 + 2 t2, one window of a difference array."""
     if N < 1:
-        raise ValueError("N must be positive")
+        raise ValueError("N must be positive, got N=%d" % N)
     diff = [0] * (3 * N)
     for t1, t2 in itertools.combinations_with_replacement(range(N), 2):
         diff[t1 + 2 * t2] += 1
@@ -72,5 +72,5 @@ def sum_of_three(N: int) -> int:
 def n3_counts(N: int) -> Tuple[int, int, int]:
     """(faces, edges, vertices) of the n=3 complex by closed form."""
     if N < 1:
-        raise ValueError("N must be positive")
+        raise ValueError("N must be positive, got N=%d" % N)
     return 4 * N * N, 6 * N * N + 3 * N, 2 * N * N + 3 * N + 1

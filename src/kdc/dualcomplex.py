@@ -53,8 +53,8 @@ def _cell_kind(s: st.Stratum, k: int) -> Tuple[Classification, Tuple[int, int, i
     dimension that does not match the shape is reported on s's cell.
     """
     cls = st.classify_stratum(s, k)
-    ys = st.chart_of(s).heights
-    shape = (ys.count(2 * k), sum(y > 2 * k for y in ys), sum(y < 2 * k for y in ys))
+    plus, minus, zero = st._sides(st.chart_of(s).vertices, k)
+    shape = (zero.bit_count(), plus.bit_count(), minus.bit_count())
     dim = st.cell_dimension(s)
     body = ",".join("(%%d,%+d)" % p.x if p.x else "(%d,0)" for p in s.points)
     template = "X{n=%d;N=%d;b=%d;[%s]}" % (s.n, s.N, s.b, body)

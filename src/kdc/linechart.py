@@ -213,7 +213,7 @@ def _complete_charts(n: int) -> list[LineChart]:
 def enumerate_complete_admissible(n: int) -> list[tuple[LineChart, int]]:
     """All (complete chart, valid k) pairs; the pair count is a_n."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise ValueError(f"n must be at least 1, got n={n}")
     pairs = []
     for steps in itertools.product((1, -1), repeat=n):
         ys = tuple(itertools.accumulate(steps, initial=0))

@@ -8,7 +8,6 @@ participates in cone building.  No coordinates, no hulls.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property, reduce
 from operator import and_
 from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Tuple
@@ -120,15 +119,11 @@ EMPTY = FacePoset({})
 
 
 def simplex(n: int) -> FacePoset:
-    """Face lattice of the n-simplex on vertex labels ("v", 0..n)."""
+    """Face lattice of the n-simplex on vertex labels ("v", 0..n): a slice
+    with every vertex on the plane."""
     if n < 0:
-        raise ValueError("simplex dimension must be nonnegative")
-    labels = [("v", i) for i in range(n + 1)]
-    dims = {}
-    for size in range(1, n + 2):
-        for sub in itertools.combinations(labels, size):
-            dims[frozenset(sub)] = size - 1
-    return FacePoset(dims)
+        raise ValueError(f"simplex dimension must be nonnegative, got n={n}")
+    return _labelled([("v", i) for i in range(n + 1)], _slice_faces(0, 0, (1 << n + 1) - 1))
 
 
 def product(p: FacePoset, q: FacePoset) -> FacePoset:
@@ -163,7 +158,7 @@ def cone(p: FacePoset, times: int = 1) -> FacePoset:
     lattice m times produces the (m-1)-simplex.
     """
     if times < 0:
-        raise ValueError("cannot cone a negative number of times")
+        raise ValueError(f"cannot cone a negative number of times, got times={times}")
     dims = {f: p.dim_of(f) for f in p.faces}
     start = _next_apex_index(dims)
     for t in range(times):
@@ -175,32 +170,47 @@ def cone(p: FacePoset, times: int = 1) -> FacePoset:
     return FacePoset(dims)
 
 
-def slice_lattice(n_plus: int, n_minus: int, n_zero: int) -> FacePoset:
-    """Face lattice of a simplex sliced by a hyperplane.
+def _submasks(mask: int) -> list:
+    """Every submask of mask, the empty one first."""
+    out = [0]
+    while mask:
+        low = mask & -mask
+        out += [sub | low for sub in out]
+        mask ^= low
+    return out
 
-    Generators split into n_plus strictly above, n_minus strictly below
-    and n_zero on the cutting plane.  A support is a face when it either
-    sits entirely on the plane (dimension size-1) or meets both open
-    sides (dimension size-2, the slice eats one dimension).
-    """
+
+def _slice_faces(plus: int, minus: int, zero: int) -> list:
+    """(mask, dim) of each face of the simplex on plus | minus | zero cut by a
+    hyperplane through the zero vertices, in (dim, mask) order, so the whole,
+    when it is a face, comes last.  A face is a nonempty part of zero, or a
+    part of zero with nonempty parts of both open sides, which the cut
+    leaves one dimension short."""
+    zs = _submasks(zero)
+    faces = [(z, z.bit_count() - 1) for z in zs[1:]]
+    faces += [(f, f.bit_count() - 2) for p in _submasks(plus)[1:] for m in _submasks(minus)[1:]
+              for f in [p | m | z for z in zs]]
+    return sorted(faces, key=lambda face: face[::-1])
+
+
+def _labelled(labels: list, faces) -> FacePoset:
+    """The poset of (mask, dim) faces, each the labels of its mask's bits."""
+    return FacePoset({frozenset(lab for i, lab in enumerate(labels) if mask >> i & 1): d
+                      for mask, d in faces})
+
+
+def slice_lattice(n_plus: int, n_minus: int, n_zero: int) -> FacePoset:
+    """Face lattice of a simplex sliced by a hyperplane (_slice_faces), with
+    n_plus generators strictly above it, n_minus strictly below, n_zero on it."""
     if n_plus < 1 or n_minus < 1:
-        raise ValueError("need at least one generator on each open side")
+        raise ValueError("need at least one generator on each open side, "
+                         f"got n_plus={n_plus}, n_minus={n_minus}")
     if n_zero < 0:
-        raise ValueError("n_zero must be nonnegative")
-    labels = (
-        [("+", i) for i in range(n_plus)]
-        + [("-", i) for i in range(n_minus)]
-        + [("0", i) for i in range(n_zero)]
-    )
-    dims = {}
-    for size in range(1, len(labels) + 1):
-        for sub in itertools.combinations(labels, size):
-            signs = {lab[0] for lab in sub}
-            if "+" in signs and "-" in signs:
-                dims[frozenset(sub)] = size - 2
-            elif signs == {"0"}:
-                dims[frozenset(sub)] = size - 1
-    return FacePoset(dims)
+        raise ValueError(f"n_zero must be nonnegative, got n_zero={n_zero}")
+    labels = ([("+", i) for i in range(n_plus)] + [("-", i) for i in range(n_minus)]
+              + [("0", i) for i in range(n_zero)])
+    plus, both = (1 << n_plus) - 1, (1 << n_plus + n_minus) - 1
+    return _labelled(labels, _slice_faces(plus, both ^ plus, ((1 << len(labels)) - 1) ^ both))
 
 
 def _refine_colors(p: FacePoset, up, down) -> Dict[Face, int]:

@@ -12,10 +12,8 @@ agree.  The weight route decides existence from the coefficients of the
 weight in r; find_admissible_r with a bound instead runs an exhaustive
 bitset scan over every tuple up to that total, which returns a witness
 of the smallest total (the order among tuples of equal total is
-unspecified).  The scan's bitsets depend only on the shift set of the
-weight's coefficients, so every scan with the same shifts shares one
-list of them, grown to the deepest total any scan has asked for up to a
-fixed depth; a deeper scan extends a copy of its own.
+unspecified).  Both answers are remembered per coefficient class, so each
+class is scanned once.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from .linechart import (
     valid_neutral_levels,
     validate,
 )
+from .polytope import _slice_faces
 
 
 class PointLabel(NamedTuple):
@@ -279,7 +278,7 @@ def dimension(s: Stratum, delta: int = 2) -> int:
 def quotient_dimension(s: Stratum, delta: int = 2) -> int:
     """delta*(n-1) - b + eps with eps = 1 iff wide."""
     if delta not in (1, 2):
-        raise ValueError("delta must be 1 or 2")
+        raise ValueError(f"delta must be 1 or 2, got delta={delta}")
     eps = 1 if classify_stratum(s) is Classification.WIDE else 0
     return delta * (s.n - 1) - s.b + eps
 
@@ -381,23 +380,18 @@ def _face_plan(chart: LineChart, runs, mask: int, k: int, dim: int) -> FacePlan:
     return FacePlan(mask, dim, top - 1, tuple(xs), k + (first.x - first.y) // 2, tuple(segments))
 
 
-@functools.lru_cache(maxsize=None)
-def _face_masks(verts: tuple, k: int) -> tuple[tuple[int, int], ...]:
-    """(mask, face dimension) of each nonempty vertex subset valid at k.
+def _sides(verts: tuple, k: int) -> tuple[int, int, int]:
+    """Bitmasks of the vertices above, below and on the neutral line y = 2k."""
+    sides = [0, 0, 0]
+    for i, v in enumerate(verts):
+        sides[2 if v.y == 2 * k else v.y < 2 * k] |= 1 << i
+    return tuple(sides)
 
-    Masks come in increasing order, so a valid chart's full mask is last.
-    Strata of one chart share the result.
-    """
-    v = len(verts)
-    out = []
-    for mask in range(1, 1 << v):
-        ys = [verts[i].y for i in range(v) if mask >> i & 1]
-        lo, hi = min(ys), max(ys)
-        if lo < 2 * k < hi:
-            out.append((mask, len(ys) - 2))
-        elif lo == 2 * k == hi:
-            out.append((mask, len(ys) - 1))
-    return tuple(out)
+
+def _face_masks(verts: tuple, k: int) -> list[tuple[int, int]]:
+    """(mask, face dimension) of each face of the chart's cell at k; a valid
+    chart's full mask is last."""
+    return _slice_faces(*_sides(verts, k))
 
 
 def _plans(chart: LineChart, k: int, codim: Optional[int] = None) -> tuple[FacePlan, ...]:
@@ -465,6 +459,16 @@ def specializations(s: Stratum) -> list[Stratum]:
 # --- occupancy vectors and the weight obstruction -------------------------
 
 
+def _indices(values, what: str) -> tuple[int, ...]:
+    """The values as ints by operator.index; a non-integer is refused as one of what."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(v, "__index__"))
+        raise ValueError(f"{what} must be integers, got {bad!r}") from None
+
+
 @dataclass(frozen=True)
 class ExpansionTuple:
     """Tuple of b+1 positive expansion lengths."""
@@ -472,9 +476,9 @@ class ExpansionTuple:
     r: tuple[int, ...]
 
     def __init__(self, r) -> None:
-        rr = tuple(int(v) for v in r)
-        if not rr or any(v < 1 for v in rr):
-            raise ValueError("expansion entries must be positive integers")
+        rr = _indices(r, "expansion entries")
+        if not rr or min(rr) < 1:
+            raise ValueError(f"expansion entries must be positive integers, got {rr}")
         object.__setattr__(self, "r", rr)
 
     @property
@@ -500,12 +504,12 @@ class OccupancyVector:
     counts: tuple[int, ...]
 
     def __init__(self, b: int, N: int, counts) -> None:
-        b, N = int(b), int(N)
-        cc = tuple(int(v) for v in counts)
+        b, N = _indices((b, N), "b and N")
+        cc = _indices(counts, "counts")
         if N < 1 or b < 0:
-            raise ValueError("need N >= 1 and b >= 0")
+            raise ValueError(f"need N >= 1 and b >= 0, got N={N}, b={b}")
         if any(v < 0 for v in cc):
-            raise ValueError("counts must be nonnegative")
+            raise ValueError(f"counts must be nonnegative, got {cc}")
         if len(cc) % (2 * N) != 0 or len(cc) < 2 * N * (b + 1):
             raise ValueError(f"count vector length {len(cc)} does not fit 2N blocks of >= b+1")
         object.__setattr__(self, "b", b)
@@ -569,9 +573,12 @@ def _counts_nb(m, N: Optional[int], b: Optional[int]) -> tuple[tuple[int, ...], 
     elif N is None or b is None:
         raise ValueError("N and b are required with a bare count sequence")
     else:
-        counts, N, b = tuple(int(v) for v in m), int(N), int(b)
+        counts = _indices(m, "counts")
+    if type(N) is not int or type(b) is not int:  # ints, the common case, skip the check
+        N, b = _indices((N, b), "N and b")
     if len(counts) != 2 * N * (b + 1):
-        raise ValueError("counts must use the all-ones indexing of length 2N(b+1)")
+        raise ValueError("counts must use the all-ones indexing of length 2N(b+1), "
+                         f"got length {len(counts)} for 2N(b+1) = {2 * N * (b + 1)}")
     return counts, N, b
 
 
@@ -633,10 +640,6 @@ def _scan_coefficients(counts, N: int, b: int) -> tuple[int, list[int]]:
 
 # (class, bound) -> the bounded scan's witness, or with bound None the cancelling shift
 _CLASS_RESULTS: dict[tuple, Optional[tuple[int, ...]]] = {}
-_DRAW_MASKS: dict[tuple[int, ...], list[int]] = {}
-# the shared lists stop at this many draws (the battery's deepest scan takes
-# 47); a deeper scan grows a copy of its own and drops it on return
-_SHARED_DRAWS = 64
 
 
 def _class_of(m, N: Optional[int], b: Optional[int]) -> tuple[int, int, int, tuple[int, ...]]:
@@ -674,19 +677,14 @@ def _class_scan(N: int, b: int, s2: int, coeff: tuple, bound: int) -> Optional[t
     parts = b + 1
     cmin = min(coeff)
     shifts = sorted({c - cmin for c in coeff})
-    # masks[m] has bit x set iff x is a sum of m shifted draws; the list is
-    # shared by every scan with these shifts and grows up to _SHARED_DRAWS
-    masks = _DRAW_MASKS.setdefault(tuple(shifts), [1])
+    masks = [1]  # masks[m] has bit x set iff x is a sum of m shifted draws
     csum = sum(coeff)
     for total in range(parts, bound + 1):
         m = total - parts
-        while len(masks) <= m:
-            if len(masks) == _SHARED_DRAWS + 1:
-                masks = masks[:]
-            prev = masks[-1]
+        if m:  # one draw more than the last total
             grown = 0
             for v in shifts:
-                grown |= prev << v
+                grown |= masks[-1] << v
             masks.append(grown)
         q = 2 * N * total
         lo = s2 * total + csum + cmin * m

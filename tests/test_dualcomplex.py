@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from kdc import counting
 from kdc import dualcomplex as dc
+from kdc import linechart as lc
 from kdc import polytope as pt
 from kdc import strata as st
 from kdc.errors import InvariantError
@@ -89,6 +91,17 @@ def test_incidence_is_covering():
         assert cx.by_id[hi].dim == cx.by_id[lo].dim + 1
     for cell in cx.by_dim[2]:
         assert len(cx.down[cell.id]) == 3
+
+
+# sha256 and byte count of export(build(n, 1), "json"): at N = 1 almost every
+# cell is a group of its own, so each face list comes from its own split
+@pytest.mark.parametrize("n, digest, size", [
+    (6, "8588c9f03aa71065c78dbf571b39fea05262c9d96b3abcc078a14c937a0031c6", 1663787),
+    (7, "5422fb24ee4e974c1068bdd87ba24aa259d66d02781c9bb3d901e7b673a41b4a", 9569166),
+])
+def test_single_residue_builds_keep_their_export(n, digest, size):
+    blob = dc.export(dc.build.__wrapped__(n, 1), "json")
+    assert (hashlib.sha256(blob).hexdigest(), len(blob)) == (digest, size)
 
 
 @pytest.mark.parametrize("rung", ["build.3_2", "build.3_16", "build.4_4", "build.5_2"])
@@ -747,9 +760,30 @@ def test_only_automorphisms_propagate(n, N, orders):
     (lambda: dc.type4_vertices(dc.build(2, 1)),
      "type-4 vertices live in n = 3 complexes, got (n, N) = (2, 1)"),
     (lambda: dc.grow_rows(0), "N must be positive, got N=0"),
+    (lambda: counting.a(0), "n must be positive, got n=0"),
+    (lambda: counting.ballot(-1), "n must be nonnegative, got n=-1"),
+    (lambda: counting.m_k(0, 1), "N must be positive, got N=0"),
+    (lambda: counting.m_profile(-2), "N must be positive, got N=-2"),
+    (lambda: counting.n3_counts(0), "N must be positive, got N=0"),
+    (lambda: st.quotient_dimension(D123, 3), "delta must be 1 or 2, got delta=3"),
+    (lambda: st.ExpansionTuple((2, 0, 1)), "expansion entries must be positive integers, got (2, 0, 1)"),
+    (lambda: st.ExpansionTuple(()), "expansion entries must be positive integers, got ()"),
+    (lambda: st.OccupancyVector(-1, 1, ()), "need N >= 1 and b >= 0, got N=1, b=-1"),
+    (lambda: st.OccupancyVector(0, 1, (1, -1)), "counts must be nonnegative, got (1, -1)"),
+    (lambda: st.r_exists((1, 1, 0, 0, 0), N=1, b=2),
+     "counts must use the all-ones indexing of length 2N(b+1), got length 5 for 2N(b+1) = 6"),
+    (lambda: pt.simplex(-1), "simplex dimension must be nonnegative, got n=-1"),
+    (lambda: pt.cone(pt.simplex(1), -2), "cannot cone a negative number of times, got times=-2"),
+    (lambda: pt.slice_lattice(0, 1, 2),
+     "need at least one generator on each open side, got n_plus=0, n_minus=1"),
+    (lambda: pt.slice_lattice(1, 1, -1), "n_zero must be nonnegative, got n_zero=-1"),
+    (lambda: lc.enumerate_complete_admissible(0), "n must be at least 1, got n=0"),
 ], ids=["build-n", "build-N", "enumerate_admissible-n", "enumerate_admissible-N",
         "iter_strata-n", "iter_strata-N", "Stratum-N", "Stratum-n", "has_automorphism",
-        "local_chart", "type4_vertices", "grow_rows"])
+        "local_chart", "type4_vertices", "grow_rows", "a", "ballot", "m_k", "m_profile",
+        "n3_counts", "quotient_dimension", "ExpansionTuple", "ExpansionTuple-empty",
+        "OccupancyVector-range", "OccupancyVector-counts", "counts_nb-length", "simplex", "cone",
+        "slice_lattice-sides", "slice_lattice-zero", "enumerate_complete_admissible"])
 def test_range_refusals_name_the_value(call, message):
     with pytest.raises(ValueError) as err:
         call()

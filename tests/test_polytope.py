@@ -1,3 +1,7 @@
+import ast
+import itertools
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, strategies as hs
 
@@ -211,3 +215,50 @@ def test_slice_matches_cone_of_product(n_plus, n_minus, n_zero):
 def test_euler_sum_is_one():
     for p in (pt.simplex(4), SQUARE, pt.cone(SQUARE), pt.slice_lattice(3, 2, 2)):
         assert p.euler_sum() == 1
+
+
+def _filtered_slice(n_plus, n_minus, n_zero):
+    """Reference: every label combination, kept by the signs it holds."""
+    labels = ([("+", i) for i in range(n_plus)] + [("-", i) for i in range(n_minus)]
+              + [("0", i) for i in range(n_zero)])
+    dims = {}
+    for size in range(1, len(labels) + 1):
+        for sub in itertools.combinations(labels, size):
+            signs = {lab[0] for lab in sub}
+            if "+" in signs and "-" in signs:
+                dims[frozenset(sub)] = size - 2
+            elif signs == {"0"}:
+                dims[frozenset(sub)] = size - 1
+    return dims
+
+
+def test_slice_lattice_equals_the_combination_filter():
+    triples = [(n_plus, n_minus, total - n_plus - n_minus) for total in range(2, 9)
+               for n_plus in range(1, total) for n_minus in range(1, total - n_plus + 1)]
+    assert len(triples) == 84  # the c07 pairs
+    for triple in triples:
+        got = pt.slice_lattice(*triple)
+        assert {f: got.dim_of(f) for f in got.faces} == _filtered_slice(*triple)
+
+
+def test_slice_faces_put_the_whole_last():
+    # a cell at its neutral level: both open sides, or every vertex on the line
+    for plus, minus, zero in ((0b1, 0b110, 0), (0b1001, 0b10, 0b100), (0, 0, 0b111)):
+        faces = pt._slice_faces(plus, minus, zero)
+        assert faces == sorted(faces, key=lambda face: (face[1], face[0]))
+        assert faces[-1][0] == plus | minus | zero
+    # one open side empty: only the faces on the line
+    assert pt._slice_faces(0b1, 0, 0b110) == [(0b10, 0), (0b100, 0), (0b110, 1)]
+
+
+def test_polytope_imports_no_kdc_module():
+    """The combinatorial layer stays a leaf, so strata can import it without a cycle."""
+    tree = ast.parse(Path(pt.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported and not {name for name in imported
+                             if name.startswith(".") or name.split(".")[0] == "kdc"}

@@ -1,9 +1,7 @@
 import copy
 import dataclasses
 import hashlib
-import functools
 import itertools
-import operator
 import pickle
 
 import pytest
@@ -487,37 +485,21 @@ def test_shared_draw_masks_match_a_per_call_scan():
              for n in range(1, 5) for N in range(1, 4) for s in st.iter_strata(n, N)]
     cases += [((1, 1, 1, 0, 0, 0), 1, 2), ((0, 2, 1, 0, 0, 0), 1, 2)]
     want = {bound: [_per_call_scan_bound(*case, bound) for case in cases] for bound in (6, 12, 48)}
-    st._DRAW_MASKS.clear()
-    st._CLASS_RESULTS.clear()  # a remembered answer would skip growing the masks
-    # the first pass fills the lists; later ones read them shallower, then deeper
+    st._CLASS_RESULTS.clear()
+    # the first pass scans every class; later ones read the memo, then ask anew
     for bound in (48, 6, 12, 48):
         assert [st._scan_bound(*case, bound) for case in cases] == want[bound]
     assert want[48][-2:] == [None, (3, 1, 1)]
-    # one list per shift set, holding what a fresh build gives
-    shift_sets = set()
-    for counts, N, b in cases:
-        _, coeff = st._scan_coefficients(counts, N, b)
-        shift_sets.add(tuple(sorted({c - min(coeff) for c in coeff})))
-    assert set(st._DRAW_MASKS) == shift_sets
-    for shifts, masks in st._DRAW_MASKS.items():
-        fresh = [1]
-        while len(fresh) < len(masks):
-            fresh.append(functools.reduce(operator.or_, (fresh[-1] << v for v in shifts)))
-        assert masks == fresh
 
 
 def test_deep_scans_keep_shared_draw_masks_at_the_cap():
-    st._DRAW_MASKS.clear()
     st._CLASS_RESULTS.clear()
     m = st.OccupancyVector(2, 1, (1, 1, 1, 0, 0, 0))
     assert st.find_admissible_r(m, bound=3000) is None
     assert _per_call_scan_bound(m.counts, 1, 2, 3000) is None
-    assert max(map(len, st._DRAW_MASKS.values())) <= st._SHARED_DRAWS + 1
-    # scans past the cap read the shared masks, then their own copy
     cases = [(st.occupancy(s).counts, N, s.b) for N in (1, 2) for s in st.iter_strata(3, N)]
     assert [st._scan_bound(*case, 100) for case in cases] == [
         _per_call_scan_bound(*case, 100) for case in cases]
-    assert max(map(len, st._DRAW_MASKS.values())) == st._SHARED_DRAWS + 1
 
 
 def _per_call_cancelling_shift(counts, N, b, s2_shift=0):
@@ -559,11 +541,14 @@ def test_witness_errors_name_their_occupancy(monkeypatch):
     shifts = tuple(sorted({c - min(coeff) for c in coeff}))
     monkeypatch.setattr(st, "_CLASS_RESULTS", {})
     # masks claiming every sum at two draws but none at one: the walk back fails
-    monkeypatch.setattr(st, "_DRAW_MASKS", {shifts: [1, 0, (1 << 64) - 1]})
-    with pytest.raises(RuntimeError, match=r"^bitset walk lost its witness at 2 of 2 draws "
-                       r"for counts \(0, 2, 1, 0, 0, 0\) with N=1, b=2$"):
-        st.find_admissible_r(counts, bound=6, N=1, b=2)
-    monkeypatch.setattr(st, "_DRAW_MASKS", {})
+    bad = [1, 0, (1 << 64) - 1]
+    with pytest.raises(RuntimeError, match=r"^bitset walk lost its witness at 2 of 2 draws$"):
+        st._scan_witness(coeff, shifts, bad, 2, shifts[-1])
+    with monkeypatch.context() as patch:
+        patch.setattr(st, "_class_scan", lambda *args: st._scan_witness(coeff, shifts, bad, 2, 0))
+        with pytest.raises(RuntimeError, match=r"^bitset walk lost its witness at 2 of 2 draws "
+                           r"for counts \(0, 2, 1, 0, 0, 0\) with N=1, b=2$"):
+            st.find_admissible_r(counts, bound=6, N=1, b=2)
     monkeypatch.setattr(st, "W_plus", lambda *args: 1)
     monkeypatch.setattr(st, "W_minus", lambda *args: 0)
     with pytest.raises(RuntimeError, match=r"^witness \(3, 1, 1\) failed the weight check "
@@ -692,11 +677,55 @@ def test_face_items_match_a_pointwise_reference(engine_strata):
             assert st.face_items(s, k) == want
 
 
+def _filtered_face_masks(verts, k):
+    """Reference: every nonempty vertex subset, kept when it is valid at k."""
+    out = []
+    for mask in range(1, 1 << len(verts)):
+        ys = [verts[i].y for i in range(len(verts)) if mask >> i & 1]
+        lo, hi = min(ys), max(ys)
+        if lo < 2 * k < hi:
+            out.append((mask, len(ys) - 2))
+        elif lo == 2 * k == hi:
+            out.append((mask, len(ys) - 1))
+    return out
+
+
+def test_face_masks_match_the_subset_filter():
+    pairs = 0
+    for n in range(1, 8):
+        for b in range(n + 1):
+            for verts in st._canonical_charts(n, b):
+                chart, ks, _ = st._chart_facts(n, verts)
+                for k in ks:
+                    got = st._face_masks(chart.vertices, k)
+                    want = _filtered_face_masks(chart.vertices, k)
+                    assert sorted(got) == want
+                    assert got[-1] == want[-1] and got[-1][0] == (1 << b + 1) - 1
+                    pairs += 1
+    assert pairs == 9379
+
+
 @pytest.mark.parametrize("point", [(0.9, 0.5), ("1", "1")])
 def test_construction_refuses_points_that_are_not_integers(point):
     with pytest.raises(ValueError) as err:
         st.Stratum(3, 1, 0, [point] * 3)
     assert str(err.value) == "point %r needs an integer residue and level" % (point,)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: st.ExpansionTuple((1.9, 2.2)), "expansion entries must be integers, got 1.9"),
+    (lambda: st.OccupancyVector(2, 1.7, (1, 2, 1, 0, 0, 0)), "b and N must be integers, got 1.7"),
+    (lambda: st.OccupancyVector(2, 1, (0.9, 2, 1, 0, 0, 0)), "counts must be integers, got 0.9"),
+    (lambda: st.r_exists(("1", 1, 1, 0, 0, 0), N=1, b=2), "counts must be integers, got '1'"),
+    (lambda: st.r_exists((1, 1, 1, 0, 0, 0), N=1.0, b=2), "N and b must be integers, got 1.0"),
+    (lambda: st.W_plus(st.OccupancyVector(2, 1, (0, 2, 1, 0, 0, 0)), (1, 1, 1), b=2.5),
+     "N and b must be integers, got 2.5"),
+], ids=["ExpansionTuple", "OccupancyVector-N", "OccupancyVector-counts", "r_exists-counts",
+        "r_exists-N", "W_plus-b"])
+def test_oracle_records_refuse_values_that_are_not_integers(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_copy_and_pickle_round_trip():
