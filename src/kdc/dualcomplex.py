@@ -19,8 +19,9 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import itemgetter
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from itertools import compress, repeat
+from operator import eq, itemgetter, le
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from . import polytope
 from . import strata as st
@@ -77,8 +78,15 @@ def _make_cell(s: st.Stratum, k: Optional[int] = None) -> Cell:
     Its kind and id come from _cell_kind and _cell_id, as build's cells do.
     """
     levels = st.valid_levels(s)
+    k = _cell_level(s, levels, k)
+    cls, shape, dim, template = _cell_kind(s, k)
+    return Cell(_cell_id(template, st._residues(s), k, levels), s, k, dim, cls, shape)
+
+
+def _cell_level(s: st.Stratum, levels: Tuple[int, ...], k: Optional[int]) -> int:
+    """k, by default s's only valid level; refused unless it is one of s's levels."""
     if k is None and len(levels) == 1:
-        k = levels[0]
+        return levels[0]
     if k not in levels:
         name = st.format_stratum(s)
         if not levels:
@@ -86,8 +94,7 @@ def _make_cell(s: st.Stratum, k: Optional[int] = None) -> Cell:
         if k is None:
             raise ValueError("neutral level of %s is ambiguous, name one of %r" % (name, levels))
         raise ValueError("k=%d is not a valid neutral level of %s" % (k, name))
-    cls, shape, dim, template = _cell_kind(s, k)
-    return Cell(_cell_id(template, st._residues(s), k, levels), s, k, dim, cls, shape)
+    return k
 
 
 @dataclass(frozen=True)
@@ -118,17 +125,21 @@ class DualComplex:
 
     @cached_property
     def up(self) -> Dict[str, Tuple[str, ...]]:
-        out: Dict[str, List[str]] = {c.id: [] for c in self.cells}
-        for lo, hi in sorted(self.incidence):
-            out[lo].append(hi)
-        return {i: tuple(v) for i, v in out.items()}
+        return self._covers[0]
 
     @cached_property
     def down(self) -> Dict[str, Tuple[str, ...]]:
-        out: Dict[str, List[str]] = {c.id: [] for c in self.cells}
+        return self._covers[1]
+
+    @cached_property
+    def _covers(self) -> Tuple[Dict[str, Tuple[str, ...]], Dict[str, Tuple[str, ...]]]:
+        """(up, down), both filled in sorted incidence order from one sort."""
+        up: Dict[str, List[str]] = {c.id: [] for c in self.cells}
+        down: Dict[str, List[str]] = {c.id: [] for c in self.cells}
         for lo, hi in sorted(self.incidence):
-            out[hi].append(lo)
-        return {i: tuple(v) for i, v in out.items()}
+            up[lo].append(hi)
+            down[hi].append(lo)
+        return ({i: tuple(v) for i, v in up.items()}, {i: tuple(v) for i, v in down.items()})
 
     @cached_property
     def _derived(self) -> dict:
@@ -711,24 +722,29 @@ def _json_list(items: List[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
+def _cell_block(dim: int, cls: Classification, b: int, xs: Tuple[int, ...]) -> str:
+    """The JSON block of every cell with these fields and levels xs, with ``%s`` left
+    for its id and ``%d`` for each residue."""
+    points = _json_list(['        {\n          "tau": %%d,\n          "x": %d\n        }' % x
+                         for x in xs], "      ")
+    return ('    {\n      "id": %%s,\n      "dim": %d,\n      "class": %s,\n'
+            '      "b": %d,\n      "points": %s\n    }' % (dim, _json_str(str(cls)), b, points))
+
+
 def _export_json(cx: DualComplex) -> bytes:
     """``json.dumps(to_json_dict(cx), indent=2) + "\n"``, written directly.
 
     The indenting encoder of the json module runs in pure Python; this
     writes the fixed kdc-1 layout with the C string escaper instead.
     """
+    blocks: Dict[tuple, str] = {}  # (dim, class, b, xs) -> _cell_block
     cells = []
     for c in sorted(cx.cells, key=lambda c: c.id):
-        points = _json_list(
-            ['        {\n          "tau": %d,\n          "x": %d\n        }'
-             % (p.tau, p.x) for p in c.stratum.points],
-            "      ",
-        )
-        cells.append(
-            '    {\n      "id": %s,\n      "dim": %d,\n      "class": %s,\n'
-            '      "b": %d,\n      "points": %s\n    }'
-            % (_json_str(c.id), c.dim, _json_str(str(c.cls)), c.b, points)
-        )
+        key = (c.dim, c.cls, c.b, tuple(map(itemgetter(1), c.stratum.points)))
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = _cell_block(*key)
+        cells.append(block % ((_json_str(c.id),) + st._residues(c.stratum)))
     incidence = [
         "    [\n      %s,\n      %s\n    ]" % (_json_str(lo), _json_str(hi))
         for lo, hi in sorted(cx.incidence)
@@ -820,11 +836,94 @@ def _field(obj, name: str, kind: type, where: str):
     return value
 
 
+class _Group(NamedTuple):
+    """What the cells of one level data (b, xs) share, for entries read off it."""
+
+    facts: tuple  # the _chart_facts entry of their chart
+    levels: Dict[int, Tuple[int, ...]]  # residue sum mod N -> valid levels, filled on first use
+    kinds: Dict[int, tuple]  # k -> _cell_kind, filled on first use
+    runs: Tuple[bool, ...]  # runs[i]: points i and i + 1 share an x, so their residues may not fall
+
+
+def _group(n: int, N: int, b: int, xs: Tuple[int, ...]) -> Optional[_Group]:
+    """The record of level data (b, xs), or None unless the constructor keeps it as given."""
+    try:
+        s = st.Stratum(n, N, b, [(0, x) for x in xs])
+    except ValueError:
+        return None
+    if tuple(p.x for p in s.points) != xs:
+        return None
+    return _Group(st._facts(s), {}, {}, tuple(map(eq, xs, xs[1:])))
+
+
+def _plain_fields(entry) -> Optional[tuple]:
+    """(id, b, residues, xs) of a cell entry whose fields all have exactly their JSON
+    types, so that every _field check on them passes; None for any other entry."""
+    if type(entry) is not dict:
+        return None
+    cid, b, points = entry.get("id"), entry.get("b"), entry.get("points")
+    if not (type(cid) is str and type(b) is int and type(points) is list
+            and set(map(type, points)) == {dict}):
+        return None
+    taus = tuple(map(dict.get, points, repeat("tau")))
+    xs = tuple(map(dict.get, points, repeat("x")))
+    if set(map(type, taus + xs)) != {int}:
+        return None
+    return cid, b, taus, xs
+
+
+def _read_cell(entry, i: int, n: int, N: int, groups: Dict[tuple, Optional[_Group]]):
+    """(id, cell) of cell entry i; groups keeps the _group of each level data (b, xs) seen.
+
+    Plain fields are read off their group only when the residues lie in 0..N-1
+    and do not fall within a run of equal x: the constructor keeps such points
+    as given.
+    """
+    plain, group = _plain_fields(entry), None
+    if plain is not None:
+        cid, b, taus, xs = plain
+        group = groups.get((b, xs), False)
+        if group is False:
+            group = groups[b, xs] = _group(n, N, b, xs)
+        if group is not None and not (0 <= min(taus) and max(taus) < N
+                                      and all(compress(map(le, taus, taus[1:]), group.runs))):
+            group = None
+    if group is None:
+        cid = _field(entry, "id", str, "cell entry %d" % i)
+        at = "each point of cell %r" % cid
+        points = [(_field(p, "tau", int, at), _field(p, "x", int, at))
+                  for p in _field(entry, "points", list, "cell %r" % cid)]
+        b = _field(entry, "b", int, "cell %r" % cid)
+    match = _LEVEL_RE.search(cid)
+    k = int(match.group(1)) if match else None
+    try:
+        if group is None:
+            s = st.Stratum(n, N, b, points)
+            levels = st.valid_levels(s)
+        else:
+            r = sum(taus) % N
+            s = st.Stratum._canonical(n, N, b, tuple(map(st.PointLabel, taus, xs)), group.facts,
+                                      group.levels.get(r))
+            levels = group.levels[r] = st.valid_levels(s)
+        k = _cell_level(s, levels, k)
+    except ValueError as err:
+        raise ValueError("cell %r: %s" % (cid, err)) from None
+    kinds = {} if group is None else group.kinds
+    if k not in kinds:
+        kinds[k] = _cell_kind(s, k)
+    cls, shape, dim, template = kinds[k]
+    return cid, Cell(_cell_id(template, st._residues(s), k, levels), s, k, dim, cls, shape)
+
+
 def parse_complex(data) -> DualComplex:
     """Rebuild a DualComplex from its JSON export.
 
     Each cell is remade from its points and level, and its id must be the
-    one ``build`` gives that cell.
+    one ``build`` gives that cell.  Entries are read per level data (b, xs):
+    the first entry of each runs the full constructor, and a later one whose
+    fields and points are already canonical takes its stratum, valid levels
+    and cell kind from that record.  Any other entry is constructed on its
+    own, which normalizes it or refuses it, as every entry once was.
     """
     if isinstance(data, bytes):
         data = data.decode("ascii")
@@ -837,18 +936,10 @@ def parse_complex(data) -> DualComplex:
         raise ValueError("the complex has (n, N) = (%d, %d), not n >= 2 and N >= 1" % (n, N))
     cells = []
     dims: Dict[str, int] = {}
+    groups: Dict[tuple, Optional[_Group]] = {}
     for i, entry in enumerate(_field(data, "cells", list, "the complex")):
-        cid = _field(entry, "id", str, "cell entry %d" % i)
-        where, at = "cell %r" % cid, "each point of cell %r" % cid
-        points = [(_field(p, "tau", int, at), _field(p, "x", int, at))
-                  for p in _field(entry, "points", list, where)]
-        b = _field(entry, "b", int, where)
-        match = _LEVEL_RE.search(cid)
-        k = int(match.group(1)) if match else None
-        try:
-            cell = _make_cell(st.Stratum(n, N, b, points), k)
-        except ValueError as err:
-            raise ValueError("%s: %s" % (where, err)) from None
+        cid, cell = _read_cell(entry, i, n, N, groups)
+        where = "cell %r" % cid
         if cell.id != cid:
             raise ValueError("%s is not %r, the id of its points and level" % (where, cell.id))
         if (cell.dim != _field(entry, "dim", int, where)
@@ -860,7 +951,8 @@ def parse_complex(data) -> DualComplex:
         cells.append(cell)
     incidence = set()
     for pair in _field(data, "incidence", list, "the complex"):
-        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(e, str) for e in pair)):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and isinstance(pair[1], str)):
             raise ValueError("incidence entry %r is not a pair of cell ids" % (pair,))
         lo, hi = pair
         if lo not in dims or hi not in dims:

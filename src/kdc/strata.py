@@ -70,7 +70,8 @@ class Stratum:
     points: tuple[PointLabel, ...]
 
     def __init__(self, n: int, N: int, b: int, points) -> None:
-        n, N, b = int(n), int(N), int(b)
+        if type(n) is not int or type(N) is not int or type(b) is not int:  # ints skip the check
+            n, N, b = _indices((n, N, b), "n, N and b")
         if N < 1:
             raise ValueError(f"N must be >= 1, got N={N}")
         if n < 1:
@@ -588,6 +589,11 @@ def _weight(m, r, N: Optional[int], b: Optional[int], sign: int) -> int:
     r = r if isinstance(r, ExpansionTuple) else ExpansionTuple(r)
     if len(r) != b + 1:
         raise ValueError(f"expansion needs {b + 1} entries, got {len(r)}")
+    return _checked_weight(counts, r, N, b, sign)
+
+
+def _checked_weight(counts: tuple, r: ExpansionTuple, N: int, b: int, sign: int) -> int:
+    """_weight of (counts, N, b) as _counts_nb returns them and an r of b+1 entries."""
     rsum = r.rsum
     rho = tuple(itertools.accumulate(r, initial=0))
     size = 2 * N * (b + 1)
@@ -773,7 +779,7 @@ def find_admissible_r(
             witness = [shifted[i_pos] * scale[i] for i in range(b + 1)]
             witness[i_pos] = -partial
         witness = ExpansionTuple(witness)
-    combined = W_plus(counts, witness, N, b) + W_minus(counts, witness, N, b)
+    combined = _checked_weight(counts, witness, N, b, 1) + _checked_weight(counts, witness, N, b, -1)
     if combined % (2 * N * witness.rsum):
         raise RuntimeError(
             f"witness {witness.r} failed the weight check for counts {counts} with N={N}, b={b}")

@@ -6,6 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as hs
 
 from kdc import counting
 from kdc import dualcomplex as dc
@@ -754,6 +755,8 @@ def test_only_automorphisms_propagate(n, N, orders):
     (lambda: next(st.iter_strata(2, 0)), "need n >= 1 and N >= 1, got (n, N) = (2, 0)"),
     (lambda: st.Stratum(3, 0, 0, [(0, 0)] * 3), "N must be >= 1, got N=0"),
     (lambda: st.Stratum(0, 1, 0, []), "n must be >= 1, got n=0"),
+    (lambda: st.Stratum(3.9, 1.5, 0.7, [(0, 0)] * 3), "n, N and b must be integers, got 3.9"),
+    (lambda: st.Stratum('3', 1, 0, [(0, 0)] * 3), "n, N and b must be integers, got '3'"),
     (lambda: dc.has_automorphism(dc.build(3, 1), 1), "order must be at least 2, got 1"),
     (lambda: dc.local_chart(mk(2, 1, 0, (0, 0))),
      "local charts are defined for n = 3, got X{n=2;N=1;b=0;[(0,0),(0,0)]}"),
@@ -779,7 +782,8 @@ def test_only_automorphisms_propagate(n, N, orders):
     (lambda: pt.slice_lattice(1, 1, -1), "n_zero must be nonnegative, got n_zero=-1"),
     (lambda: lc.enumerate_complete_admissible(0), "n must be at least 1, got n=0"),
 ], ids=["build-n", "build-N", "enumerate_admissible-n", "enumerate_admissible-N",
-        "iter_strata-n", "iter_strata-N", "Stratum-N", "Stratum-n", "has_automorphism",
+        "iter_strata-n", "iter_strata-N", "Stratum-N", "Stratum-n", "Stratum-float",
+        "Stratum-string", "has_automorphism",
         "local_chart", "type4_vertices", "grow_rows", "a", "ballot", "m_k", "m_profile",
         "n3_counts", "quotient_dimension", "ExpansionTuple", "ExpansionTuple-empty",
         "OccupancyVector-range", "OccupancyVector-counts", "counts_nb-length", "simplex", "cone",
@@ -1138,3 +1142,82 @@ def test_parse_requires_level_when_ambiguous():
     entry["id"] = entry["id"].split("@")[0]
     with pytest.raises(ValueError, match="neutral level"):
         dc.parse_complex(data)
+
+
+def test_up_and_down_follow_the_sorted_incidence():
+    cx = dc.build(4, 2)
+    pairs = sorted(cx.incidence)
+    assert cx.up == {c.id: tuple(hi for lo, hi in pairs if lo == c.id) for c in cx.cells}
+    assert cx.down == {c.id: tuple(lo for lo, hi in pairs if hi == c.id) for c in cx.cells}
+
+
+def _cell_fields(cx):
+    return [(c.id, c.stratum, c.k, c.dim, c.cls, c.lattice_shape, c.stratum.points,
+             st.valid_levels(c.stratum), st.chart_of(c.stratum)) for c in cx.cells]
+
+
+@settings(max_examples=15, deadline=None)
+@given(hs.integers(2, 5), hs.integers(1, 3))
+@example(3, 16)
+def test_parse_returns_the_exported_complex(n, N):
+    cx = dc.build(n, N)
+    again = dc.parse_complex(dc.export(cx, "json"))
+    assert again == cx
+    assert _cell_fields(again) == _cell_fields(cx)
+    assert {type(p) for c in again.cells for p in c.stratum.points} == {st.PointLabel}
+
+
+# two cells of one level data (b, xs), in file order, in the export of build(3, 3)
+GROUP_33 = ("X{n=3;N=3;b=2;[(0,+1),(0,+2),(2,+3)]}", "X{n=3;N=3;b=2;[(0,+1),(1,+2),(1,+3)]}")
+
+
+def _export_33_with(cid, change):
+    """The JSON export of build(3, 3) with change applied to the points of cell cid."""
+    data = json.loads(dc.export(dc.build(3, 3), "json"))
+    change(next(c for c in data["cells"] if c["id"] == cid)["points"])
+    return data
+
+
+# point lists the stratum constructor normalizes back into the cell they were made from
+NON_CANONICAL = {
+    "reversed": lambda pts: pts.reverse(),
+    "tau of N": lambda pts: pts[0].update(tau=pts[0]["tau"] + 3),
+    "negative tau": lambda pts: pts[1].update(tau=pts[1]["tau"] - 3),
+    "x of -(b+1)": lambda pts: pts[2].update(tau=pts[2]["tau"] + 1, x=-3),
+}
+
+
+@pytest.mark.parametrize("cid", GROUP_33)
+@pytest.mark.parametrize("case", sorted(NON_CANONICAL))
+def test_parse_normalizes_non_canonical_points(case, cid):
+    cx = dc.build(3, 3)
+    again = dc.parse_complex(_export_33_with(cid, NON_CANONICAL[case]))
+    assert again == cx
+    assert _cell_fields(again) == _cell_fields(cx)
+
+
+# tampers of the second cell of GROUP_33, read after its group is recorded, and their refusals
+TAMPERED_SECOND = {
+    "tau raised": (lambda pts: pts[0].update(tau=1), "cell %r: X{n=3;N=3;b=2;"
+                   "[(1,+1),(1,+2),(1,+3)]} is inadmissible" % GROUP_33[1]),
+    "tau past N": (lambda pts: pts[2].update(tau=5), "cell %r: X{n=3;N=3;b=2;"
+                   "[(0,+1),(1,+2),(2,+3)]} is inadmissible" % GROUP_33[1]),
+    "tau string": (lambda pts: pts[1].update(tau="1"), "each point of cell %r must be "
+                   "a JSON object with field 'tau' of type int" % GROUP_33[1]),
+    "tau float": (lambda pts: pts[0].update(tau=0.0), "each point of cell %r must be "
+                  "a JSON object with field 'tau' of type int" % GROUP_33[1]),
+    "x float": (lambda pts: pts[0].update(x=1.0), "each point of cell %r must be "
+                "a JSON object with field 'x' of type int" % GROUP_33[1]),
+    "x bool": (lambda pts: pts[0].update(x=True), "each point of cell %r must be "
+               "a JSON object with field 'x' of type int" % GROUP_33[1]),
+    "x missing": (lambda pts: pts[1].pop("x"), "each point of cell %r must be "
+                  "a JSON object with field 'x' of type int" % GROUP_33[1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_SECOND))
+def test_parse_refuses_a_tampered_second_cell_of_a_group(case):
+    change, message = TAMPERED_SECOND[case]
+    with pytest.raises(ValueError) as err:
+        dc.parse_complex(_export_33_with(GROUP_33[1], change))
+    assert str(err.value) == message

@@ -549,11 +549,22 @@ def test_witness_errors_name_their_occupancy(monkeypatch):
         with pytest.raises(RuntimeError, match=r"^bitset walk lost its witness at 2 of 2 draws "
                            r"for counts \(0, 2, 1, 0, 0, 0\) with N=1, b=2$"):
             st.find_admissible_r(counts, bound=6, N=1, b=2)
-    monkeypatch.setattr(st, "W_plus", lambda *args: 1)
-    monkeypatch.setattr(st, "W_minus", lambda *args: 0)
+    monkeypatch.setattr(st, "_checked_weight", lambda counts, r, N, b, sign: 1 if sign > 0 else 0)
     with pytest.raises(RuntimeError, match=r"^witness \(3, 1, 1\) failed the weight check "
                        r"for counts \(0, 2, 1, 0, 0, 0\) with N=1, b=2$"):
         st.find_admissible_r(counts, bound=6, N=1, b=2)
+
+
+def test_witness_check_reads_the_counts_once(monkeypatch):
+    calls = []
+    checked = st._counts_nb
+    monkeypatch.setattr(st, "_counts_nb", lambda *args: calls.append(args) or checked(*args))
+    occ = st.occupancy(next(st.iter_strata(4, 2, b=2, admissible_only=True)))
+    assert st.r_exists(occ)  # keeps the occupancy's class, so only the witness check reads counts
+    for bound in (None, 12):
+        calls.clear()
+        assert st.find_admissible_r(occ, bound=bound) is not None
+        assert len(calls) == 1
 
 
 @given(hs.sampled_from(POOL_32))
