@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -535,8 +536,9 @@ def type4_vertices(cx: DualComplex) -> Tuple[Cell, ...]:
 
 
 def _flag_tables(cx: DualComplex):
-    """The maximal flags of cx, vertex first, and flips[r][i], the index of the flag
-    that differs from flags[i] only at rank r, else i; refuses what the search could misread."""
+    """The maximal flags of cx, vertex first, as tuples of cell indices (positions in
+    cx.cells), and flips[r][i], the index of the flag that differs from flags[i] only at
+    rank r, else i; refuses, naming a cell, what the search could misread."""
     top = max((c.dim for c in cx.cells), default=-1)
     for d in range(top):  # the search maps flags, which end in top cells
         for c in cx.by_dim.get(d, ()):
@@ -546,12 +548,15 @@ def _flag_tables(cx: DualComplex):
     if stray is not None:
         raise ValueError("complex is not connected: %s lies outside the component of %s"
                          % (stray, cx.cells[0].id))
-    flags = [(c.id,) for c in cx.by_dim.get(top, ())]
+    index = {c.id: i for i, c in enumerate(cx.cells)}
+    dims = [c.dim for c in cx.cells]
+    down = [[index[x] for x in cx.down[c.id]] for c in cx.cells]
+    flags = [(i,) for i, d in enumerate(dims) if d == top]
     for d in range(top - 1, -1, -1):
-        flags = [(x,) + f for f in flags for x in cx.down[f[0]] if cx.by_id[x].dim == d]
-    missing = set(cx.by_id).difference(*flags)
+        flags = [(x,) + f for f in flags for x in down[f[0]] if dims[x] == d]
+    missing = set(range(len(dims))).difference(*flags)
     if missing:
-        raise ValueError("cell %s lies in no flag" % next(c.id for c in cx.cells if c.id in missing))
+        raise ValueError("cell %s lies in no flag" % cx.cells[min(missing)].id)
     flips = [list(range(len(flags))) for _ in range(top + 1)]
     for r in reversed(range(top + 1)):  # ridges first, then diamonds downward
         pairs: Dict[tuple, List[int]] = {}
@@ -560,27 +565,35 @@ def _flag_tables(cx: DualComplex):
         for group in pairs.values():
             f = flags[group[0]]
             if r == top and len(group) > 2:
-                raise ValueError("ridge %s lies in %d top cells" % (f[r - 1], len(group)))
+                raise ValueError("ridge %s lies in %d top cells"
+                                 % (cx.cells[f[r - 1]].id, len(group)))
             if r < top and len(group) != 2:
                 raise ValueError("interval below %s%s is not a diamond: it holds %d, not 2, cells"
-                                 % (f[r + 1], " above %s" % f[r - 1] if r else "", len(group)))
+                                 % (cx.cells[f[r + 1]].id,
+                                    " above %s" % cx.cells[f[r - 1]].id if r else "", len(group)))
             if len(group) == 2:
                 flips[r][group[0]], flips[r][group[1]] = group[1], group[0]
     return flags, flips
 
 
-def has_automorphism(cx: DualComplex, order: int) -> bool:
-    """Search for an incidence automorphism of the given exact order.
+def automorphisms(cx: DualComplex) -> Tuple[Dict[str, str], ...]:
+    """The incidence automorphisms of cx, each a cell permutation (id -> id), the
+    identity first; searched once per complex and kept on it.
 
-    It maps maximal flags, chains of cells from a vertex up to a top cell, and
+    The search maps maximal flags, chains of cells from a vertex up to a top
+    cell.  An automorphism commutes with flips, so the image of the first flag
+    fixes it: the seeds, that flag onto each flag, enumerate all candidates, and
+    a candidate is kept when it is a bijection that preserves the incidence.  It
     refuses, naming a cell, what _flag_tables refuses or top cells not joined
-    through ridges.  An automorphism commutes with flips, so the image of the first
-    flag fixes it: the seeds, that flag onto each flag, enumerate all candidates.
+    through ridges; a refusal is not kept, so each call raises it again.
     """
-    if order < 2:
-        raise ValueError("order must be at least 2, got %d" % order)
+    group = cx._derived.get("automorphisms")
+    if group is not None:
+        return group
     flags, flips = _flag_tables(cx)
-    degree = {c.id: len(cx.up[c.id]) for c in cx.cells}
+    name = [c.id for c in cx.cells]
+    degree = [len(cx.up[i]) for i in name]
+    found = [] if flags else [{}]  # a complex without cells has the empty map alone
     for seed in range(len(flags)):
         fmap, cmap = _propagate(flags, flips, degree, seed)
         if fmap is None:
@@ -588,24 +601,44 @@ def has_automorphism(cx: DualComplex, order: int) -> bool:
         if len(fmap) < len(flags):  # only at seed 0, the identity: all seeds reach the same flags
             missed = next(f for i, f in enumerate(flags) if i not in fmap)
             raise ValueError("top cells are not joined through ridges: %s is not reached from %s"
-                             % (missed[-1], flags[0][-1]))
-        if (_permutation_order(cmap) == order and len(set(cmap.values())) == len(cmap)
-                and all((cmap[a], cmap[b]) in cx.incidence for a, b in cx.incidence)):
-            return True
-    return False
+                             % (name[missed[-1]], name[flags[0][-1]]))
+        if len(set(cmap.values())) == len(cmap):
+            perm = {name[i]: name[cmap[i]] for i in range(len(name))}
+            if all((perm[a], perm[b]) in cx.incidence for a, b in cx.incidence):
+                found.append(perm)
+    group = cx._derived["automorphisms"] = tuple(found)
+    return group
+
+
+def has_automorphism(cx: DualComplex, order: int) -> bool:
+    """Whether some incidence automorphism of cx has exactly the given order.
+
+    It reads the group that automorphisms(cx) keeps on cx, so asking for
+    several orders searches once; it refuses what automorphisms refuses, and
+    an order that is not an integer of at least 2.
+    """
+    try:
+        value = operator.index(order)
+    except TypeError:
+        raise ValueError("order must be an integer, got %r" % (order,)) from None
+    if value < 2:
+        raise ValueError("order must be at least 2, got %s" % (order,))
+    return any(_permutation_order(perm) == value for perm in automorphisms(cx))
 
 
 def _propagate(flags, flips, degree, seed: int):
     """The flag and cell maps that send flags[0] onto flags[seed] and commute with flips, or
     None, None once a flag or a cell would get two images or a cell another up-degree (equal
-    up-degrees on the ridges make a top flip exist on both sides or on neither)."""
+    up-degrees on the ridges make a top flip exist on both sides or on neither).  The maps
+    are dicts filled as flips reach flags, so a seed that fails early costs little."""
     cmap, fmap, queue = dict(zip(flags[0], flags[seed])), {0: seed}, [0]
     if any(degree[a] != degree[b] for a, b in cmap.items()):
         return None, None
     while queue:
         f = queue.pop()
+        g = fmap[f]
         for r, row in enumerate(flips):
-            f2, g2 = row[f], row[fmap[f]]
+            f2, g2 = row[f], row[g]
             if f2 in fmap:
                 if fmap[f2] != g2:
                     return None, None
@@ -651,7 +684,9 @@ def _tutte_layout(cx: DualComplex, seed: int) -> Dict[str, Tuple[float, float]]:
 
     Gauss-Seidel sweeps over the interior vertices in id order, each set to
     the mean of its neighbours (summed in id order), until no coordinate
-    moves by 1e-9.
+    moves by 1e-9.  A position is one complex number x + iy: summing complex
+    numbers adds the parts separately, and dividing by an int divides each
+    part, so the floats are those of two real sweeps.
     """
     report = verify_disk(cx)
     if not report.ok:
@@ -661,12 +696,11 @@ def _tutte_layout(cx: DualComplex, seed: int) -> Dict[str, Tuple[float, float]]:
         )
     vids = sorted(c.id for c in cx.by_dim.get(0, ()))
     index = {v: i for i, v in enumerate(vids)}
-    px = [0.0] * len(vids)
-    py = [0.0] * len(vids)
+    pz = [0j] * len(vids)
     cycle = [index[v] for v in report.boundary_cycle]
     for i, j in enumerate(cycle):
         angle = 2.0 * math.pi * (i + seed) / len(cycle)
-        px[j], py[j] = math.cos(angle), math.sin(angle)
+        pz[j] = complex(math.cos(angle), math.sin(angle))
     neighbors: List[set] = [set() for _ in vids]
     for e in cx.by_dim.get(1, ()):
         a, b = (index[v] for v in cx.down[e.id])
@@ -683,15 +717,14 @@ def _tutte_layout(cx: DualComplex, seed: int) -> Dict[str, Tuple[float, float]]:
     for _ in range(100000):
         moved = False
         for i, get, degree in sweep:
-            nx = sum(get(px)) / degree
-            ny = sum(get(py)) / degree
-            if not moved and (abs(nx - px[i]) >= 1e-9 or abs(ny - py[i]) >= 1e-9):
-                moved = True
-            px[i] = nx
-            py[i] = ny
+            nz = sum(get(pz)) / degree
+            if not moved:
+                d = nz - pz[i]
+                moved = abs(d.real) >= 1e-9 or abs(d.imag) >= 1e-9
+            pz[i] = nz
         if not moved:
             break
-    return {v: (px[i], py[i]) for i, v in enumerate(vids)}
+    return {v: (z.real, z.imag) for v, z in zip(vids, pz)}
 
 
 def to_json_dict(cx: DualComplex) -> dict:

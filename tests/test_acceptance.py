@@ -5,6 +5,9 @@ pass/fail line per criterion; the detail string is printed for the
 record.  A final check keeps the whole battery inside its time budget.
 """
 
+import os
+import platform
+
 import pytest
 
 from kdc import verify
@@ -39,6 +42,11 @@ def test_suite_report_shape():
     assert report["status"] == "pass"
     assert {c["id"] for c in report["criteria"]} == {2, 3, 4, 11, 12}
     assert all(c["status"] == "pass" for c in report["criteria"])
+
+
+def test_suite_report_names_its_environment():
+    report, _ok = verify.run_suite("counts", max_n=2, max_N=1)
+    assert report["environment"] == {"python": platform.python_version(), "nproc": os.cpu_count()}
 
 
 def test_unknown_suite_and_criterion():

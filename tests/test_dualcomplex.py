@@ -736,14 +736,40 @@ def test_automorphism_search_works_for_every_n():
 ])
 def test_only_automorphisms_propagate(n, N, orders):
     cx = dc.build(n, N)
+    group = dc.automorphisms(cx)
+    assert sorted(dc._permutation_order(perm) for perm in group) == orders
+    assert group[0] == {c.id: c.id for c in cx.cells}
+    for perm in group:
+        assert sorted(perm) == sorted(perm.values()) == sorted(c.id for c in cx.cells)
+        assert {(perm[a], perm[b]) for a, b in cx.incidence} == cx.incidence
+    # every seed that propagates is one of the group: the final checks drop none
     flags, flips = dc._flag_tables(cx)
-    degree = {c.id: len(cx.up[c.id]) for c in cx.cells}
-    found = [dc._propagate(flags, flips, degree, seed)[1] for seed in range(len(flags))]
-    found = [cmap for cmap in found if cmap is not None]
-    assert sorted(dc._permutation_order(cmap) for cmap in found) == orders
-    for cmap in found:
-        assert sorted(cmap.values()) == sorted(c.id for c in cx.cells)
-        assert {(cmap[a], cmap[b]) for a, b in cx.incidence} == cx.incidence
+    degree = [len(cx.up[c.id]) for c in cx.cells]
+    assert sum(dc._propagate(flags, flips, degree, seed)[0] is not None
+               for seed in range(len(flags))) == len(group)
+
+
+@pytest.mark.parametrize("n, N, size", [(3, 16, 2), (4, 4, 8), (3, 1, 2), (2, 3, 2)])
+def test_automorphism_group_orders(n, N, size):
+    assert len(dc.automorphisms(dc.build(n, N))) == size
+
+
+def test_automorphisms_are_kept_on_the_complex():
+    cx = dc.build(3, 3)
+    group = dc.automorphisms(cx)
+    assert dc.automorphisms(cx) is group and cx._derived["automorphisms"] is group
+    assert [dc.has_automorphism(cx, order) for order in range(2, 7)] == [True, True, False, False, False]
+    assert dc.automorphisms(cx) is group
+    assert dc.automorphisms(dc.DualComplex(3, 1, (), frozenset())) == ({},)
+
+
+def test_a_refused_search_is_not_kept():
+    cx = _perturbed(1, _book)
+    for _ in range(3):
+        with pytest.raises(ValueError) as err:
+            dc.automorphisms(cx)
+        assert str(err.value) == "ridge X{n=3;N=1;b=1;[(0,0),(0,+1),(0,-1)]} lies in 3 top cells"
+        assert "automorphisms" not in cx._derived
 
 
 @pytest.mark.parametrize("call, message", [
@@ -758,6 +784,10 @@ def test_only_automorphisms_propagate(n, N, orders):
     (lambda: st.Stratum(3.9, 1.5, 0.7, [(0, 0)] * 3), "n, N and b must be integers, got 3.9"),
     (lambda: st.Stratum('3', 1, 0, [(0, 0)] * 3), "n, N and b must be integers, got '3'"),
     (lambda: dc.has_automorphism(dc.build(3, 1), 1), "order must be at least 2, got 1"),
+    (lambda: dc.has_automorphism(dc.build(3, 1), True), "order must be at least 2, got True"),
+    (lambda: dc.has_automorphism(dc.build(3, 1), 2.5), "order must be an integer, got 2.5"),
+    (lambda: dc.has_automorphism(dc.build(3, 1), 2.0), "order must be an integer, got 2.0"),
+    (lambda: dc.has_automorphism(dc.build(3, 1), "2"), "order must be an integer, got '2'"),
     (lambda: dc.local_chart(mk(2, 1, 0, (0, 0))),
      "local charts are defined for n = 3, got X{n=2;N=1;b=0;[(0,0),(0,0)]}"),
     (lambda: dc.type4_vertices(dc.build(2, 1)),
@@ -783,7 +813,8 @@ def test_only_automorphisms_propagate(n, N, orders):
     (lambda: lc.enumerate_complete_admissible(0), "n must be at least 1, got n=0"),
 ], ids=["build-n", "build-N", "enumerate_admissible-n", "enumerate_admissible-N",
         "iter_strata-n", "iter_strata-N", "Stratum-N", "Stratum-n", "Stratum-float",
-        "Stratum-string", "has_automorphism",
+        "Stratum-string", "has_automorphism", "has_automorphism-bool", "has_automorphism-float",
+        "has_automorphism-integral-float", "has_automorphism-string",
         "local_chart", "type4_vertices", "grow_rows", "a", "ballot", "m_k", "m_profile",
         "n3_counts", "quotient_dimension", "ExpansionTuple", "ExpansionTuple-empty",
         "OccupancyVector-range", "OccupancyVector-counts", "counts_nb-length", "simplex", "cone",
@@ -1010,11 +1041,13 @@ def _reference_layout(cx, seed):
     return pos
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 6, 8, 12, 16])
 def test_layout_matches_reference_sweep(N):
+    # repr, since float == would not tell 0.0 from -0.0
     cx = dc.build(3, N)
     for seed in (0, 2):
-        assert dc._layout(cx, seed) == _reference_layout(cx, seed)
+        got, want = dc._layout(cx, seed), _reference_layout(cx, seed)
+        assert {v: repr(p) for v, p in got.items()} == {v: repr(p) for v, p in want.items()}
 
 
 def test_layout_is_computed_once_per_seed():
