@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
-from itertools import compress, repeat
+from itertools import compress
 from operator import eq, itemgetter, le
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
@@ -578,7 +578,7 @@ def _flag_tables(cx: DualComplex):
 
 def automorphisms(cx: DualComplex) -> Tuple[Dict[str, str], ...]:
     """The incidence automorphisms of cx, each a cell permutation (id -> id), the
-    identity first; searched once per complex and kept on it.
+    identity first; searched once per complex and kept on it, with their orders.
 
     The search maps maximal flags, chains of cells from a vertex up to a top
     cell.  An automorphism commutes with flips, so the image of the first flag
@@ -606,6 +606,7 @@ def automorphisms(cx: DualComplex) -> Tuple[Dict[str, str], ...]:
             perm = {name[i]: name[cmap[i]] for i in range(len(name))}
             if all((perm[a], perm[b]) in cx.incidence for a, b in cx.incidence):
                 found.append(perm)
+    cx._derived["automorphism orders"] = frozenset(map(_permutation_order, found))
     group = cx._derived["automorphisms"] = tuple(found)
     return group
 
@@ -613,9 +614,9 @@ def automorphisms(cx: DualComplex) -> Tuple[Dict[str, str], ...]:
 def has_automorphism(cx: DualComplex, order: int) -> bool:
     """Whether some incidence automorphism of cx has exactly the given order.
 
-    It reads the group that automorphisms(cx) keeps on cx, so asking for
-    several orders searches once; it refuses what automorphisms refuses, and
-    an order that is not an integer of at least 2.
+    It reads the element orders that automorphisms(cx) keeps on cx, so asking
+    for several orders searches once; it refuses what automorphisms refuses,
+    and an order that is not an integer of at least 2.
     """
     try:
         value = operator.index(order)
@@ -623,7 +624,8 @@ def has_automorphism(cx: DualComplex, order: int) -> bool:
         raise ValueError("order must be an integer, got %r" % (order,)) from None
     if value < 2:
         raise ValueError("order must be at least 2, got %s" % (order,))
-    return any(_permutation_order(perm) == value for perm in automorphisms(cx))
+    automorphisms(cx)
+    return value in cx._derived["automorphism orders"]
 
 
 def _propagate(flags, flips, degree, seed: int):
@@ -860,12 +862,13 @@ def export(cx: DualComplex, fmt: str, layout_seed: int = 0, labels: bool = False
 _LEVEL_RE = re.compile(r"@k=(-?\d+)$")
 
 
-def _field(obj, name: str, kind: type, where: str):
-    """obj[name], or a ValueError unless obj is a JSON object with a kind there."""
+def _field(obj, name: str, kind: type, where: str, *args):
+    """obj[name], or a ValueError, naming obj as where % args, unless obj is a JSON
+    object with a kind there; the name is formatted only for the refusal."""
     value = obj.get(name) if isinstance(obj, dict) else None
     if not isinstance(value, kind) or isinstance(value, bool):  # bool subclasses int
         raise ValueError("%s must be a JSON object with field %r of type %s"
-                         % (where, name, kind.__name__))
+                         % (where % args, name, kind.__name__))
     return value
 
 
@@ -878,73 +881,47 @@ class _Group(NamedTuple):
     runs: Tuple[bool, ...]  # runs[i]: points i and i + 1 share an x, so their residues may not fall
 
 
-def _group(n: int, N: int, b: int, xs: Tuple[int, ...]) -> Optional[_Group]:
-    """The record of level data (b, xs), or None unless the constructor keeps it as given."""
-    try:
-        s = st.Stratum(n, N, b, [(0, x) for x in xs])
-    except ValueError:
-        return None
+def _group(n: int, N: int, b: int, xs: Tuple[int, ...]) -> _Group:
+    """The record of level data (b, xs), refused unless the constructor keeps it as given."""
+    s = st.Stratum(n, N, b, [(0, x) for x in xs])
     if tuple(p.x for p in s.points) != xs:
-        return None
+        raise ValueError("levels %s are not in canonical order and sign" % (xs,))
     return _Group(st._facts(s), {}, {}, tuple(map(eq, xs, xs[1:])))
 
 
-def _plain_fields(entry) -> Optional[tuple]:
-    """(id, b, residues, xs) of a cell entry whose fields all have exactly their JSON
-    types, so that every _field check on them passes; None for any other entry."""
-    if type(entry) is not dict:
-        return None
-    cid, b, points = entry.get("id"), entry.get("b"), entry.get("points")
-    if not (type(cid) is str and type(b) is int and type(points) is list
-            and set(map(type, points)) == {dict}):
-        return None
-    taus = tuple(map(dict.get, points, repeat("tau")))
-    xs = tuple(map(dict.get, points, repeat("x")))
-    if set(map(type, taus + xs)) != {int}:
-        return None
-    return cid, b, taus, xs
-
-
-def _read_cell(entry, i: int, n: int, N: int, groups: Dict[tuple, Optional[_Group]]):
+def _read_cell(entry, i: int, n: int, N: int, groups: Dict[tuple, _Group]):
     """(id, cell) of cell entry i; groups keeps the _group of each level data (b, xs) seen.
 
-    Plain fields are read off their group only when the residues lie in 0..N-1
-    and do not fall within a run of equal x: the constructor keeps such points
-    as given.
+    The points are taken as written, so they must be canonical: levels as the
+    constructor orders and signs them, residues in 0..N-1 and ascending within
+    each run of equal x.  Anything else is refused.
     """
-    plain, group = _plain_fields(entry), None
-    if plain is not None:
-        cid, b, taus, xs = plain
-        group = groups.get((b, xs), False)
-        if group is False:
-            group = groups[b, xs] = _group(n, N, b, xs)
-        if group is not None and not (0 <= min(taus) and max(taus) < N
-                                      and all(compress(map(le, taus, taus[1:]), group.runs))):
-            group = None
-    if group is None:
-        cid = _field(entry, "id", str, "cell entry %d" % i)
-        at = "each point of cell %r" % cid
-        points = [(_field(p, "tau", int, at), _field(p, "x", int, at))
-                  for p in _field(entry, "points", list, "cell %r" % cid)]
-        b = _field(entry, "b", int, "cell %r" % cid)
-    match = _LEVEL_RE.search(cid)
-    k = int(match.group(1)) if match else None
+    cid = _field(entry, "id", str, "cell entry %d", i)
+    points = [(_field(p, "tau", int, "each point of cell %r", cid),
+               _field(p, "x", int, "each point of cell %r", cid))
+              for p in _field(entry, "points", list, "cell %r", cid)]
+    b = _field(entry, "b", int, "cell %r", cid)
+    taus, xs = tuple(map(itemgetter(0), points)), tuple(map(itemgetter(1), points))
     try:
+        group = groups.get((b, xs))
         if group is None:
-            s = st.Stratum(n, N, b, points)
-            levels = st.valid_levels(s)
-        else:
-            r = sum(taus) % N
-            s = st.Stratum._canonical(n, N, b, tuple(map(st.PointLabel, taus, xs)), group.facts,
-                                      group.levels.get(r))
-            levels = group.levels[r] = st.valid_levels(s)
+            group = groups[b, xs] = _group(n, N, b, xs)
+        if not (0 <= min(taus) <= max(taus) < N
+                and all(compress(map(le, taus, taus[1:]), group.runs))):
+            raise ValueError("residues %s are not canonical: each in 0..%d, ascending within "
+                             "each run of equal x" % (taus, N - 1))
+        match = _LEVEL_RE.search(cid)
+        k = int(match.group(1)) if match else None
+        r = sum(taus) % N
+        s = st.Stratum._canonical(n, N, b, tuple(map(st.PointLabel, taus, xs)), group.facts,
+                                  group.levels.get(r))
+        levels = group.levels[r] = st.valid_levels(s)
         k = _cell_level(s, levels, k)
     except ValueError as err:
         raise ValueError("cell %r: %s" % (cid, err)) from None
-    kinds = {} if group is None else group.kinds
-    if k not in kinds:
-        kinds[k] = _cell_kind(s, k)
-    cls, shape, dim, template = kinds[k]
+    if k not in group.kinds:
+        group.kinds[k] = _cell_kind(s, k)
+    cls, shape, dim, template = group.kinds[k]
     return cid, Cell(_cell_id(template, st._residues(s), k, levels), s, k, dim, cls, shape)
 
 
@@ -952,11 +929,9 @@ def parse_complex(data) -> DualComplex:
     """Rebuild a DualComplex from its JSON export.
 
     Each cell is remade from its points and level, and its id must be the
-    one ``build`` gives that cell.  Entries are read per level data (b, xs):
-    the first entry of each runs the full constructor, and a later one whose
-    fields and points are already canonical takes its stratum, valid levels
-    and cell kind from that record.  Any other entry is constructed on its
-    own, which normalizes it or refuses it, as every entry once was.
+    one ``build`` gives that cell.  Points must be canonical, as the exporter
+    writes them (see _read_cell), and the cells of one level data (b, xs)
+    share one record of their chart, valid levels and cell kinds.
     """
     if isinstance(data, bytes):
         data = data.decode("ascii")
@@ -969,14 +944,13 @@ def parse_complex(data) -> DualComplex:
         raise ValueError("the complex has (n, N) = (%d, %d), not n >= 2 and N >= 1" % (n, N))
     cells = []
     dims: Dict[str, int] = {}
-    groups: Dict[tuple, Optional[_Group]] = {}
+    groups: Dict[tuple, _Group] = {}
     for i, entry in enumerate(_field(data, "cells", list, "the complex")):
         cid, cell = _read_cell(entry, i, n, N, groups)
-        where = "cell %r" % cid
         if cell.id != cid:
-            raise ValueError("%s is not %r, the id of its points and level" % (where, cell.id))
-        if (cell.dim != _field(entry, "dim", int, where)
-                or str(cell.cls) != _field(entry, "class", str, where)):
+            raise ValueError("cell %r is not %r, the id of its points and level" % (cid, cell.id))
+        if (cell.dim != _field(entry, "dim", int, "cell %r", cid)
+                or str(cell.cls) != _field(entry, "class", str, "cell %r", cid)):
             raise ValueError("cell metadata mismatch for %r" % cid)
         if cid in dims:
             raise ValueError("duplicate cell id %r" % cid)

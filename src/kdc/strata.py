@@ -81,8 +81,9 @@ class Stratum:
         pts = []
         for raw in points:
             try:
-                tau, x = operator.index(raw[0]), operator.index(raw[1])
-            except TypeError:
+                tau, x = raw
+                tau, x = operator.index(tau), operator.index(x)
+            except (TypeError, ValueError):
                 raise ValueError(f"point {raw!r} needs an integer residue and level") from None
             if abs(x) > b + 1:
                 raise ValueError(f"level |{x}| exceeds b+1={b + 1}")

@@ -758,6 +758,7 @@ def test_automorphisms_are_kept_on_the_complex():
     cx = dc.build(3, 3)
     group = dc.automorphisms(cx)
     assert dc.automorphisms(cx) is group and cx._derived["automorphisms"] is group
+    assert cx._derived["automorphism orders"] == {1, 2, 3}
     assert [dc.has_automorphism(cx, order) for order in range(2, 7)] == [True, True, False, False, False]
     assert dc.automorphisms(cx) is group
     assert dc.automorphisms(dc.DualComplex(3, 1, (), frozenset())) == ({},)
@@ -769,7 +770,7 @@ def test_a_refused_search_is_not_kept():
         with pytest.raises(ValueError) as err:
             dc.automorphisms(cx)
         assert str(err.value) == "ridge X{n=3;N=1;b=1;[(0,0),(0,+1),(0,-1)]} lies in 3 top cells"
-        assert "automorphisms" not in cx._derived
+        assert "automorphisms" not in cx._derived and "automorphism orders" not in cx._derived
 
 
 @pytest.mark.parametrize("call, message", [
@@ -1158,6 +1159,12 @@ MALFORMED = {
                      "cell 'X.*': X.* is inadmissible"),
     "n and N out of range": (_edit(lambda d: d.update(n=-5, N=0, cells=[], incidence=[])),
                              r"the complex has \(n, N\) = \(-5, 0\)"),
+    "level past the digit limit": (_edit(lambda d: _first_cell(d).update(
+        id=_first_cell(d)["id"] + "@k=" + "9" * 5000)), r"cell 'X.*@k=9+': Exceeds the limit"),
+    "residues out of order in a run": (_edit(lambda d: _first_cell(d).update(points=[
+        {"tau": 0, "x": 0}, {"tau": 1, "x": 1}, {"tau": 0, "x": 1}])),
+        r"cell 'X\{n=3;N=2;b=0;\[\(0,0\),\(0,\+1\),\(1,\+1\)\]\}': residues \(0, 1, 0\) "
+        "are not canonical"),
 }
 
 
@@ -1211,30 +1218,45 @@ def _export_33_with(cid, change):
     return data
 
 
-# point lists the stratum constructor normalizes back into the cell they were made from
+def _residues_refused(taus):
+    """The reader's refusal of residues taus at N = 3, after the cell's name."""
+    return ("residues %s are not canonical: each in 0..2, ascending within each run of equal x"
+            % (taus,))
+
+
+# point lists the stratum constructor normalizes back into the cell they were made from, and
+# the reader's refusal of each, in the order of GROUP_33; the reader takes points as written
 NON_CANONICAL = {
-    "reversed": lambda pts: pts.reverse(),
-    "tau of N": lambda pts: pts[0].update(tau=pts[0]["tau"] + 3),
-    "negative tau": lambda pts: pts[1].update(tau=pts[1]["tau"] - 3),
-    "x of -(b+1)": lambda pts: pts[2].update(tau=pts[2]["tau"] + 1, x=-3),
+    "reversed": (lambda pts: pts.reverse(),
+                 ["levels (3, 2, 1) are not in canonical order and sign"] * 2),
+    "tau of N": (lambda pts: pts[0].update(tau=pts[0]["tau"] + 3),
+                 [_residues_refused((3, 0, 2)), _residues_refused((3, 1, 1))]),
+    "negative tau": (lambda pts: pts[1].update(tau=pts[1]["tau"] - 3),
+                     [_residues_refused((0, -3, 2)), _residues_refused((0, -2, 1))]),
+    "x of -(b+1)": (lambda pts: pts[2].update(tau=pts[2]["tau"] + 1, x=-3),
+                    ["levels (1, 2, -3) are not in canonical order and sign"] * 2),
 }
 
 
 @pytest.mark.parametrize("cid", GROUP_33)
 @pytest.mark.parametrize("case", sorted(NON_CANONICAL))
 def test_parse_normalizes_non_canonical_points(case, cid):
-    cx = dc.build(3, 3)
-    again = dc.parse_complex(_export_33_with(cid, NON_CANONICAL[case]))
-    assert again == cx
-    assert _cell_fields(again) == _cell_fields(cx)
+    """The constructor still normalizes these points into their cell; the reader refuses them."""
+    change, messages = NON_CANONICAL[case]
+    data = _export_33_with(cid, change)
+    points = next(c for c in data["cells"] if c["id"] == cid)["points"]
+    assert st.Stratum(3, 3, 2, [(p["tau"], p["x"]) for p in points]) == st.parse_stratum(cid)
+    with pytest.raises(ValueError) as err:
+        dc.parse_complex(data)
+    assert str(err.value) == "cell %r: %s" % (cid, messages[GROUP_33.index(cid)])
 
 
 # tampers of the second cell of GROUP_33, read after its group is recorded, and their refusals
 TAMPERED_SECOND = {
     "tau raised": (lambda pts: pts[0].update(tau=1), "cell %r: X{n=3;N=3;b=2;"
                    "[(1,+1),(1,+2),(1,+3)]} is inadmissible" % GROUP_33[1]),
-    "tau past N": (lambda pts: pts[2].update(tau=5), "cell %r: X{n=3;N=3;b=2;"
-                   "[(0,+1),(1,+2),(2,+3)]} is inadmissible" % GROUP_33[1]),
+    "tau past N": (lambda pts: pts[2].update(tau=5),
+                   "cell %r: %s" % (GROUP_33[1], _residues_refused((0, 1, 5)))),
     "tau string": (lambda pts: pts[1].update(tau="1"), "each point of cell %r must be "
                    "a JSON object with field 'tau' of type int" % GROUP_33[1]),
     "tau float": (lambda pts: pts[0].update(tau=0.0), "each point of cell %r must be "
@@ -1254,3 +1276,14 @@ def test_parse_refuses_a_tampered_second_cell_of_a_group(case):
     with pytest.raises(ValueError) as err:
         dc.parse_complex(_export_33_with(GROUP_33[1], change))
     assert str(err.value) == message
+
+
+def test_parse_refuses_a_residue_past_N_that_its_id_agrees_on():
+    # 5 = 2 mod 3, so the cell is admissible and, unrefused, would join the complex
+    cid = GROUP_33[0].replace("(2,+3)", "(5,+3)")
+    data = _export_33_with(GROUP_33[0], lambda pts: pts[2].update(tau=5))
+    next(c for c in data["cells"] if c["id"] == GROUP_33[0])["id"] = cid
+    data["incidence"] = [[cid if x == GROUP_33[0] else x for x in pair] for pair in data["incidence"]]
+    with pytest.raises(ValueError) as err:
+        dc.parse_complex(data)
+    assert str(err.value) == "cell %r: %s" % (cid, _residues_refused((0, 0, 5)))

@@ -716,7 +716,7 @@ def test_face_masks_match_the_subset_filter():
     assert pairs == 9379
 
 
-@pytest.mark.parametrize("point", [(0.9, 0.5), ("1", "1")])
+@pytest.mark.parametrize("point", [(0.9, 0.5), ("1", "1"), (0,), {"tau": 0, "x": 1}, (0, 1, 2)])
 def test_construction_refuses_points_that_are_not_integers(point):
     with pytest.raises(ValueError) as err:
         st.Stratum(3, 1, 0, [point] * 3)
