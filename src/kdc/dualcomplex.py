@@ -137,9 +137,12 @@ class DualComplex:
         """(up, down), both filled in sorted incidence order from one sort."""
         up: Dict[str, List[str]] = {c.id: [] for c in self.cells}
         down: Dict[str, List[str]] = {c.id: [] for c in self.cells}
-        for lo, hi in sorted(self.incidence):
-            up[lo].append(hi)
-            down[hi].append(lo)
+        try:
+            for lo, hi in sorted(self.incidence):
+                up[lo].append(hi)
+                down[hi].append(lo)
+        except KeyError:
+            raise ValueError("incidence (%r, %r) references an unknown cell" % (lo, hi)) from None
         return ({i: tuple(v) for i, v in up.items()}, {i: tuple(v) for i, v in down.items()})
 
     @cached_property
@@ -382,7 +385,7 @@ def verify_disk(cx: DualComplex) -> DiskReport:
     if "skew" not in cx._derived:  # the first incidence in sorted order that is no cover
         cell = cx.by_id
         cx._derived["skew"] = min(
-            ((lo, hi, cell[lo].dim, cell[hi].dim) for lo, hi in cx.incidence
+            ((lo, hi, cell[lo].dim, cell[hi].dim) for hi, los in cx.down.items() for lo in los
              if cell[hi].dim - cell[lo].dim != 1), default=None)
     if cx._derived["skew"] is not None:
         raise ValueError("incidence (%r, %r) joins dims %d and %d, not d and d + 1"
@@ -933,10 +936,13 @@ def parse_complex(data) -> DualComplex:
     writes them (see _read_cell), and the cells of one level data (b, xs)
     share one record of their chart, valid levels and cell kinds.
     """
-    if isinstance(data, bytes):
-        data = data.decode("ascii")
-    if isinstance(data, str):
-        data = json.loads(data)
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("ascii")
+        if isinstance(data, str):
+            data = json.loads(data)
+    except ValueError as err:  # also UnicodeDecodeError, JSONDecodeError and the digit limit
+        raise ValueError("the complex is not ASCII JSON: %s" % err) from None
     if _field(data, "version", str, "the complex") != SCHEMA_VERSION:
         raise ValueError("unsupported schema version %r" % data["version"])
     n, N = _field(data, "n", int, "the complex"), _field(data, "N", int, "the complex")

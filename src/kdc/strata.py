@@ -5,15 +5,16 @@ cycle block the point sits in) and a signed level x with |x| <= b+1.
 The level data alone determines a line chart (see linechart); the
 stratum is admissible when some neutral level k of that chart satisfies
 sum(tau_i) + k == 0 (mod N).  An independent route to the same decision
-goes through the occupancy vector m and the weighted sums W_plus and
-W_minus, which must cancel mod 2*N*sum(r) for some expansion tuple r of
-positive integers.  Both routes live here; the test suite checks they
-agree.  The weight route decides existence from the coefficients of the
-weight in r; find_admissible_r with a bound instead runs an exhaustive
-bitset scan over every tuple up to that total, which returns a witness
-of the smallest total (the order among tuples of equal total is
-unspecified).  Both answers are remembered per coefficient class, so each
-class is scanned once.
+goes through the occupancy m and the weighted sums W_plus and W_minus,
+which must cancel mod 2*N*sum(r) for some expansion tuple r of positive
+integers.  The four weight oracles take m as one OccupancyVector, whose
+own N and b fix the sums.  Both routes live here; the test suite checks
+they agree.  The weight route decides existence from the coefficients of
+the weight in r; find_admissible_r with a bound instead runs an
+exhaustive bitset scan over every tuple up to that total, which returns
+a witness of the smallest total (the order among tuples of equal total
+is unspecified).  Both answers are remembered per coefficient class, so
+each class is scanned once.
 """
 
 from __future__ import annotations
@@ -408,16 +409,13 @@ def _residues(s: Stratum) -> tuple[int, ...]:
     return tuple(map(operator.itemgetter(0), s.points))
 
 
-def face_items(
-    s: Stratum, k: int | None = None, codim: int | None = None
-) -> frozenset[tuple[Stratum, int]]:
+def face_items(s: Stratum, k: int | None = None) -> frozenset[tuple[Stratum, int]]:
     """Proper faces of the cells this stratum spans, with inherited k.
 
     A face arises from a nonempty proper vertex subset of the chart
     that is still valid at one of the stratum's neutral levels k.  The
     returned k is expressed in the face's own canonical chart.  Passing
-    k restricts to that single neutral level; passing codim keeps only
-    the faces that many dimensions below the cell.
+    k restricts to that single neutral level.
     """
     if k is None:
         ks = valid_levels(s)
@@ -427,7 +425,7 @@ def face_items(
         raise ValueError(f"k={k} is not a neutral level of this stratum {format_stratum(s)}")
     chart, taus = _facts(s)[0], _residues(s)
     return frozenset((plan.stratum(s.n, s.N, plan.residues(taus, s.N)), plan.k)
-                     for k in ks for plan in _plans(chart, k, codim))
+                     for k in ks for plan in _plans(chart, k))
 
 
 def faces(s: Stratum) -> list[Stratum]:
@@ -499,7 +497,12 @@ class ExpansionTuple:
 
 @dataclass(frozen=True)
 class OccupancyVector:
-    """Point counts per cycle component, 2N consecutive blocks."""
+    """Point counts in the all-ones indexing: 2N blocks of b+1 components.
+
+    A point (tau, x) sits on component 2(b+1)tau + x mod 2N(b+1), so counts
+    has length exactly 2N(b+1).  This is the record the weight oracles
+    W_plus, W_minus, r_exists and find_admissible_r take.
+    """
 
     b: int
     N: int
@@ -512,8 +515,9 @@ class OccupancyVector:
             raise ValueError(f"need N >= 1 and b >= 0, got N={N}, b={b}")
         if any(v < 0 for v in cc):
             raise ValueError(f"counts must be nonnegative, got {cc}")
-        if len(cc) % (2 * N) != 0 or len(cc) < 2 * N * (b + 1):
-            raise ValueError(f"count vector length {len(cc)} does not fit 2N blocks of >= b+1")
+        if len(cc) != 2 * N * (b + 1):
+            raise ValueError("counts must use the all-ones indexing of length 2N(b+1), "
+                             f"got length {len(cc)} for 2N(b+1) = {2 * N * (b + 1)}")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "counts", cc)
@@ -529,8 +533,8 @@ class OccupancyVector:
         return self.counts[i]
 
 
-def m_vector(s: Stratum, r) -> OccupancyVector:
-    """Occupancy over the 2*N*rsum cycle components under expansion r.
+def m_vector(s: Stratum, r) -> tuple[int, ...]:
+    """Point counts over the 2*N*rsum cycle components under expansion r.
 
     A positive point at level k in block tau lands on component
     2*tau*rsum + (r_1 + ... + r_k), a negative one on
@@ -547,14 +551,14 @@ def m_vector(s: Stratum, r) -> OccupancyVector:
         offset = rho[abs(p.x)]
         idx = 2 * p.tau * rsum + (offset if p.x >= 0 else -offset)
         counts[idx % size] += 1
-    return OccupancyVector(s.b, s.N, counts)
+    return tuple(counts)
 
 
 def occupancy(s: Stratum) -> OccupancyVector:
-    """m_vector at the all-ones expansion, one component per level and sign.
+    """The OccupancyVector of s: m_vector's counts at the all-ones expansion.
 
     A point lands on component 2(b+1)tau + x mod 2N(b+1); the vector is valid
-    by construction, so it skips m_vector's checks.
+    by construction, so it skips the constructor's checks.
     """
     period = s.b + 1
     size = 2 * s.N * period
@@ -568,33 +572,14 @@ def occupancy(s: Stratum) -> OccupancyVector:
     return m
 
 
-def _counts_nb(m, N: Optional[int], b: Optional[int]) -> tuple[tuple[int, ...], int, int]:
-    """Checked (counts, N, b) of an occupancy in the all-ones indexing."""
-    if isinstance(m, OccupancyVector):
-        counts, N, b = m.counts, (m.N if N is None else N), (m.b if b is None else b)
-    elif N is None or b is None:
-        raise ValueError("N and b are required with a bare count sequence")
-    else:
-        counts = _indices(m, "counts")
-    if type(N) is not int or type(b) is not int:  # ints, the common case, skip the check
-        N, b = _indices((N, b), "N and b")
-    if len(counts) != 2 * N * (b + 1):
-        raise ValueError("counts must use the all-ones indexing of length 2N(b+1), "
-                         f"got length {len(counts)} for 2N(b+1) = {2 * N * (b + 1)}")
-    return counts, N, b
-
-
-def _weight(m, r, N: Optional[int], b: Optional[int], sign: int) -> int:
+def _weight(m: OccupancyVector, r, sign: int) -> int:
     """W_plus (sign 1, k = 0..b) or W_minus (sign -1, k = 1..b+1)."""
-    counts, N, b = _counts_nb(m, N, b)
+    if not isinstance(m, OccupancyVector):
+        raise ValueError(f"the oracles take an OccupancyVector, got {m!r}")
+    counts, N, b = m.counts, m.N, m.b
     r = r if isinstance(r, ExpansionTuple) else ExpansionTuple(r)
     if len(r) != b + 1:
         raise ValueError(f"expansion needs {b + 1} entries, got {len(r)}")
-    return _checked_weight(counts, r, N, b, sign)
-
-
-def _checked_weight(counts: tuple, r: ExpansionTuple, N: int, b: int, sign: int) -> int:
-    """_weight of (counts, N, b) as _counts_nb returns them and an r of b+1 entries."""
     rsum = r.rsum
     rho = tuple(itertools.accumulate(r, initial=0))
     size = 2 * N * (b + 1)
@@ -603,18 +588,18 @@ def _checked_weight(counts: tuple, r: ExpansionTuple, N: int, b: int, sign: int)
                for tau in range(N) for k in ks)
 
 
-def W_plus(m, r, N: Optional[int] = None, b: Optional[int] = None) -> int:
+def W_plus(m: OccupancyVector, r) -> int:
     """Sum of m[2*tau*(b+1) + k] * (2*tau*rsum + rho_k) over tau and k = 0..b.
 
-    m must be in the all-ones indexing of length 2N(b+1); r supplies the
-    weights rho_k = r_1 + ... + r_k.
+    m is an OccupancyVector, whose N and b fix the sum; r supplies the
+    weights rho_k = r_1 + ... + r_k and needs b+1 entries.
     """
-    return _weight(m, r, N, b, 1)
+    return _weight(m, r, 1)
 
 
-def W_minus(m, r, N: Optional[int] = None, b: Optional[int] = None) -> int:
+def W_minus(m: OccupancyVector, r) -> int:
     """Sum of m[2*tau*(b+1) - k] * (2*tau*rsum - rho_k) over tau and k = 1..b+1."""
-    return _weight(m, r, N, b, -1)
+    return _weight(m, r, -1)
 
 
 # The weight is linear in the tuple: W_plus + W_minus == s2 * rsum +
@@ -649,18 +634,17 @@ def _scan_coefficients(counts, N: int, b: int) -> tuple[int, list[int]]:
 _CLASS_RESULTS: dict[tuple, Optional[tuple[int, ...]]] = {}
 
 
-def _class_of(m, N: Optional[int], b: Optional[int]) -> tuple[int, int, int, tuple[int, ...]]:
+def _class_of(m: OccupancyVector) -> tuple[int, int, int, tuple[int, ...]]:
     """(N, b, s2 mod 2N, coeff), which fixes both oracles' answers: moving s2 by
     2N moves each scan target by a multiple of its modulus 2N*total and the
-    cancelling shift's t by one.  An OccupancyVector keeps its class in an
-    attribute that is not a field, so equality and repr ignore it."""
-    if N is None and b is None and isinstance(m, OccupancyVector):
-        if not hasattr(m, "_class"):
-            object.__setattr__(m, "_class", _class_of(m, m.N, m.b))
-        return m._class
-    counts, N, b = _counts_nb(m, N, b)
-    s2, coeff = _scan_coefficients(counts, N, b)
-    return N, b, s2 % (2 * N), tuple(coeff)
+    cancelling shift's t by one.  The vector keeps its class in an attribute
+    that is not a field, so equality and repr ignore it."""
+    if not isinstance(m, OccupancyVector):
+        raise ValueError(f"the oracles take an OccupancyVector, got {m!r}")
+    if not hasattr(m, "_class"):
+        s2, coeff = _scan_coefficients(m.counts, m.N, m.b)
+        object.__setattr__(m, "_class", (m.N, m.b, s2 % (2 * m.N), tuple(coeff)))
+    return m._class
 
 
 def _class_result(key: tuple, bound: Optional[int], counts=None) -> Optional[tuple[int, ...]]:
@@ -673,10 +657,6 @@ def _class_result(key: tuple, bound: Optional[int], counts=None) -> Optional[tup
         except RuntimeError as exc:  # the bitset walk lost its witness
             raise RuntimeError(f"{exc} for counts {counts} with N={N}, b={b}") from None
     return _CLASS_RESULTS[key, bound]
-
-
-def _scan_bound(counts, N: int, b: int, bound: int) -> Optional[tuple[int, ...]]:
-    return _class_result(_class_of(counts, N, b), bound, counts)
 
 
 def _class_scan(N: int, b: int, s2: int, coeff: tuple, bound: int) -> Optional[tuple[int, ...]]:
@@ -741,15 +721,13 @@ def _cancelling_shift(N: int, s2: int, coeff: tuple[int, ...]) -> Optional[tuple
     return None
 
 
-def r_exists(m, N: Optional[int] = None, b: Optional[int] = None) -> bool:
-    """Decide whether some positive expansion cancels the combined weight."""
-    return _class_result(_class_of(m, N, b), None) is not None
+def r_exists(m: OccupancyVector) -> bool:
+    """Decide whether some positive expansion cancels the combined weight of m."""
+    return _class_result(_class_of(m), None) is not None
 
 
-def find_admissible_r(
-    m, bound: Optional[int] = None, N: Optional[int] = None, b: Optional[int] = None
-) -> Optional[ExpansionTuple]:
-    """Produce a witness expansion, or None when none exists.
+def find_admissible_r(m: OccupancyVector, bound: Optional[int] = None) -> Optional[ExpansionTuple]:
+    """Produce a witness expansion for the OccupancyVector m, or None when none exists.
 
     Without a bound the witness is built from the shifted coefficients
     behind r_exists.  With a bound the search is instead the exhaustive
@@ -759,11 +737,10 @@ def find_admissible_r(
     tuples with that total it returns is unspecified.  Either witness is
     verified through W_plus and W_minus before being returned.
     """
-    key = _class_of(m, N, b)
-    counts, N, b = _counts_nb(m, key[0], key[1])
-    found = _class_result(key, bound, counts)
+    found = _class_result(_class_of(m), bound, m.counts)
     if found is None:
         return None
+    b = m.b
     if bound is not None:
         witness = ExpansionTuple(found)
     else:
@@ -780,10 +757,9 @@ def find_admissible_r(
             witness = [shifted[i_pos] * scale[i] for i in range(b + 1)]
             witness[i_pos] = -partial
         witness = ExpansionTuple(witness)
-    combined = _checked_weight(counts, witness, N, b, 1) + _checked_weight(counts, witness, N, b, -1)
-    if combined % (2 * N * witness.rsum):
-        raise RuntimeError(
-            f"witness {witness.r} failed the weight check for counts {counts} with N={N}, b={b}")
+    if (_weight(m, witness, 1) + _weight(m, witness, -1)) % (2 * m.N * witness.rsum):
+        raise RuntimeError(f"witness {witness.r} failed the weight check "
+                           f"for counts {m.counts} with N={m.N}, b={b}")
     return witness
 
 

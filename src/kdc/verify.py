@@ -300,13 +300,13 @@ def _c09(max_n, max_N) -> str:
                     checked += 1
 
     # the worked pair: same chart, one obstructed and one witnessed
-    m_bad = (1, 1, 1, 0, 0, 0)
-    m_good = (0, 2, 1, 0, 0, 0)
-    _need(not st.r_exists(m_bad, N=1, b=2), "obstructed occupancy admits r")
-    _need(st.find_admissible_r(m_bad, N=1, b=2, bound=24) is None, "obstructed occupancy scanned a hit")
-    _need(st.r_exists(m_good, N=1, b=2), "witnessed occupancy reports obstructed")
+    m_bad = st.OccupancyVector(2, 1, (1, 1, 1, 0, 0, 0))
+    m_good = st.OccupancyVector(2, 1, (0, 2, 1, 0, 0, 0))
+    _need(not st.r_exists(m_bad), "obstructed occupancy admits r")
+    _need(st.find_admissible_r(m_bad, bound=24) is None, "obstructed occupancy scanned a hit")
+    _need(st.r_exists(m_good), "witnessed occupancy reports obstructed")
     printed = st.ExpansionTuple((3, 1, 1))
-    total = st.W_plus(m_good, printed, N=1, b=2) + st.W_minus(m_good, printed, N=1, b=2)
+    total = st.W_plus(m_good, printed) + st.W_minus(m_good, printed)
     _need(total % (2 * 1 * printed.rsum) == 0, "printed witness (3,1,1) fails")
     return "%d strata cross-checked, %d witnesses verified" % (checked, witnesses)
 

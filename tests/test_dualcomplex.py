@@ -645,6 +645,16 @@ def test_verify_disk_refuses_an_incidence_that_skips_a_dimension():
     assert str(err.value) == "incidence (%r, %r) joins dims 0 and 0, not d and d + 1" % (v, w)
 
 
+def test_an_incidence_with_an_unknown_cell_is_named():
+    cx = dc.build(3, 1)
+    first = cx.cells[0].id
+    for pair in (("nope", first), (first, "nope")):
+        for read in (lambda c: c.up, dc.verify_disk, dc.automorphisms, dc.DualComplex.is_connected):
+            with pytest.raises(ValueError) as err:
+                read(dc.DualComplex(3, 1, cx.cells, cx.incidence | {pair}))
+            assert str(err.value) == "incidence (%r, %r) references an unknown cell" % pair
+
+
 def _without_an_edge_of_a_triangle(cx, vertex_instead=False):
     edge, tri = "X{n=3;N=1;b=1;[(0,0),(0,+1),(0,-1)]}", "X{n=3;N=1;b=3;[(0,+1),(0,+2),(0,-3)]}"
     assert (edge, tri) in cx.incidence
@@ -804,7 +814,7 @@ def test_a_refused_search_is_not_kept():
     (lambda: st.ExpansionTuple(()), "expansion entries must be positive integers, got ()"),
     (lambda: st.OccupancyVector(-1, 1, ()), "need N >= 1 and b >= 0, got N=1, b=-1"),
     (lambda: st.OccupancyVector(0, 1, (1, -1)), "counts must be nonnegative, got (1, -1)"),
-    (lambda: st.r_exists((1, 1, 0, 0, 0), N=1, b=2),
+    (lambda: st.OccupancyVector(2, 1, (1, 1, 0, 0, 0)),
      "counts must use the all-ones indexing of length 2N(b+1), got length 5 for 2N(b+1) = 6"),
     (lambda: pt.simplex(-1), "simplex dimension must be nonnegative, got n=-1"),
     (lambda: pt.cone(pt.simplex(1), -2), "cannot cone a negative number of times, got times=-2"),
@@ -818,7 +828,7 @@ def test_a_refused_search_is_not_kept():
         "has_automorphism-integral-float", "has_automorphism-string",
         "local_chart", "type4_vertices", "grow_rows", "a", "ballot", "m_k", "m_profile",
         "n3_counts", "quotient_dimension", "ExpansionTuple", "ExpansionTuple-empty",
-        "OccupancyVector-range", "OccupancyVector-counts", "counts_nb-length", "simplex", "cone",
+        "OccupancyVector-range", "OccupancyVector-counts", "OccupancyVector-length", "simplex", "cone",
         "slice_lattice-sides", "slice_lattice-zero", "enumerate_complete_admissible"])
 def test_range_refusals_name_the_value(call, message):
     with pytest.raises(ValueError) as err:
@@ -1165,6 +1175,12 @@ MALFORMED = {
         {"tau": 0, "x": 0}, {"tau": 1, "x": 1}, {"tau": 0, "x": 1}])),
         r"cell 'X\{n=3;N=2;b=0;\[\(0,0\),\(0,\+1\),\(1,\+1\)\]\}': residues \(0, 1, 0\) "
         "are not canonical"),
+    "tau past the digit limit": (lambda d: json.dumps(d).replace('"tau": 1', '"tau": 1' + "0" * 5000, 1),
+                                 r"^the complex is not ASCII JSON: Exceeds the limit \(4300 digits\)"),
+    "not ASCII": (lambda d: json.dumps(d).encode("ascii").replace(b"narrow", b"narr\xc3\xa9", 1),
+                  r"^the complex is not ASCII JSON: 'ascii' codec can't decode byte 0xc3"),
+    "truncated": (lambda d: json.dumps(d)[:-1],
+                  r"^the complex is not ASCII JSON: Expecting ',' delimiter: line 1 column \d+"),
 }
 
 

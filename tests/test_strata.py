@@ -5,7 +5,7 @@ import itertools
 import pickle
 
 import pytest
-from hypothesis import given, strategies as hs
+from hypothesis import given, settings, strategies as hs
 
 from kdc import strata as st
 from kdc.linechart import (
@@ -324,7 +324,8 @@ def test_specializations_match_scan(n, N):
     pool = list(st.iter_strata(n, N, admissible_only=True))
     # from n = 5 on some strata span two cells, one per neutral level
     assert n < 5 or any(len(st.valid_levels(s)) == 2 for s in pool)
-    candidates = [(t, {f for f, _ in st.face_items(t, codim=1)}) for t in pool]
+    candidates = [(t, {f for f, _ in st.face_items(t)
+                       if st.cell_dimension(f) == st.cell_dimension(t) - 1}) for t in pool]
     for s in pool:
         assert st.specializations(s) == scan_specializations(s, candidates)
 
@@ -357,12 +358,15 @@ def test_occupancy_vector_validation():
         st.OccupancyVector(2, 1, (1, 1, 1, 0))
     with pytest.raises(ValueError):
         st.OccupancyVector(2, 0, (1, 1))
+    # two expansions' worth of blocks is no all-ones vector
+    with pytest.raises(ValueError, match=r"got length 12 for 2N\(b\+1\) = 6$"):
+        st.OccupancyVector(2, 1, (0,) * 12)
 
 
 def test_m_vector_small():
     s = mk(2, 1, 0, (1, 1))
-    assert st.m_vector(s, (1,)).counts == (0, 2)
-    assert st.occupancy(s) == st.m_vector(s, (1,))
+    assert st.m_vector(s, (1,)) == (0, 2)
+    assert st.occupancy(s) == st.OccupancyVector(0, 1, st.m_vector(s, (1,)))
     with pytest.raises(ValueError):
         st.m_vector(s, (1, 1))
 
@@ -372,15 +376,15 @@ def test_occupancy_is_m_vector_at_all_ones():
         for N in range(1, 4):
             for s in st.iter_strata(n, N):
                 got, want = st.occupancy(s), st.m_vector(s, (1,) * (s.b + 1))
-                assert (got.counts, got.N, got.b) == (want.counts, want.N, want.b)
-                assert got == want and type(got.counts) is tuple
+                assert (got.counts, got.N, got.b) == (want, N, s.b)
+                assert got == st.OccupancyVector(s.b, N, want) and type(got.counts) is tuple
 
 
 def test_m_vector_respects_signs_and_residues():
     s = mk(2, 2, 1, (1, -2), taus=(0, 1))
     m = st.m_vector(s, (2, 1))
     # size 2*N*rsum = 12; +1 at tau=0 sits at 2, -2 at tau=1 sits at 6-3=3
-    assert m.counts == (0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0)
+    assert m == (0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_obstructed_occupancy():
@@ -408,18 +412,20 @@ def test_constructive_witness_is_verified():
 
 
 def test_bare_counts_need_shape():
-    with pytest.raises(ValueError):
-        st.r_exists((1, 1, 1, 0, 0, 0))
-    with pytest.raises(ValueError):
-        st.r_exists((1, 1, 1, 0), N=1, b=2)
+    counts = (1, 1, 1, 0, 0, 0)
+    for call in (lambda: st.r_exists(counts), lambda: st.find_admissible_r(counts, 6),
+                 lambda: st.W_plus(counts, (1, 1, 1)), lambda: st.W_minus(counts, (1, 1, 1))):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "the oracles take an OccupancyVector, got (1, 1, 1, 0, 0, 0)"
 
 
-def _first_cancelling_tuple(m, N, b, limit):
+def _first_cancelling_tuple(m, limit):
     """Brute force: a tuple of the smallest total <= limit whose weight cancels."""
-    for rsum in range(b + 1, limit + 1):
-        for cuts in itertools.combinations(range(1, rsum), b):
+    for rsum in range(m.b + 1, limit + 1):
+        for cuts in itertools.combinations(range(1, rsum), m.b):
             r = tuple(x - y for x, y in zip(cuts + (rsum,), (0,) + cuts))
-            if (st.W_plus(m, r, N, b) + st.W_minus(m, r, N, b)) % (2 * N * rsum) == 0:
+            if (st.W_plus(m, r) + st.W_minus(m, r)) % (2 * m.N * rsum) == 0:
                 return r
     return None
 
@@ -442,7 +448,7 @@ def test_bounded_scan_finds_a_smallest_total():
     for occ in occupancies:
         found = st.find_admissible_r(occ, bound=12)
         assert (found is not None) == st.r_exists(occ)
-        brute = _first_cancelling_tuple(occ.counts, occ.N, occ.b, 12)
+        brute = _first_cancelling_tuple(occ, 12)
         assert (brute is None) == (found is None)
         if found is not None:
             assert len(found) == occ.b + 1
@@ -480,15 +486,21 @@ def _per_call_scan_bound(counts, N, b, bound, s2_shift=0):
     return None
 
 
+def _scan(occ, bound):
+    """The bounded witness of occ as a plain tuple, or None."""
+    found = st.find_admissible_r(occ, bound)
+    return found and found.r
+
+
 def test_shared_draw_masks_match_a_per_call_scan():
-    cases = [(st.occupancy(s).counts, N, s.b)
-             for n in range(1, 5) for N in range(1, 4) for s in st.iter_strata(n, N)]
-    cases += [((1, 1, 1, 0, 0, 0), 1, 2), ((0, 2, 1, 0, 0, 0), 1, 2)]
-    want = {bound: [_per_call_scan_bound(*case, bound) for case in cases] for bound in (6, 12, 48)}
+    occs = [st.occupancy(s) for n in range(1, 5) for N in range(1, 4) for s in st.iter_strata(n, N)]
+    occs += [st.OccupancyVector(2, 1, (1, 1, 1, 0, 0, 0)), st.OccupancyVector(2, 1, (0, 2, 1, 0, 0, 0))]
+    want = {bound: [_per_call_scan_bound(m.counts, m.N, m.b, bound) for m in occs]
+            for bound in (6, 12, 48)}
     st._CLASS_RESULTS.clear()
     # the first pass scans every class; later ones read the memo, then ask anew
     for bound in (48, 6, 12, 48):
-        assert [st._scan_bound(*case, bound) for case in cases] == want[bound]
+        assert [_scan(m, bound) for m in occs] == want[bound]
     assert want[48][-2:] == [None, (3, 1, 1)]
 
 
@@ -497,9 +509,9 @@ def test_deep_scans_keep_shared_draw_masks_at_the_cap():
     m = st.OccupancyVector(2, 1, (1, 1, 1, 0, 0, 0))
     assert st.find_admissible_r(m, bound=3000) is None
     assert _per_call_scan_bound(m.counts, 1, 2, 3000) is None
-    cases = [(st.occupancy(s).counts, N, s.b) for N in (1, 2) for s in st.iter_strata(3, N)]
-    assert [st._scan_bound(*case, 100) for case in cases] == [
-        _per_call_scan_bound(*case, 100) for case in cases]
+    occs = [st.occupancy(s) for N in (1, 2) for s in st.iter_strata(3, N)]
+    assert [_scan(m, 100) for m in occs] == [
+        _per_call_scan_bound(m.counts, m.N, m.b, 100) for m in occs]
 
 
 def _per_call_cancelling_shift(counts, N, b, s2_shift=0):
@@ -524,7 +536,7 @@ def test_class_memo_matches_per_call_oracles_and_ignores_s2_mod_2N():
                 occ = st.occupancy(s)
                 case = (occ.counts, N, s.b)
                 found = st.find_admissible_r(occ, bound=bound)
-                shifted = st._class_result(st._class_of(occ, None, None), None)
+                shifted = st._class_result(st._class_of(occ), None)
                 for s2_shift in (0, 2 * N, -2 * N):
                     assert _per_call_scan_bound(*case, bound, s2_shift) == (found and found.r)
                     want = _per_call_cancelling_shift(*case, s2_shift)
@@ -537,6 +549,7 @@ def test_class_memo_matches_per_call_oracles_and_ignores_s2_mod_2N():
 
 def test_witness_errors_name_their_occupancy(monkeypatch):
     counts = (0, 2, 1, 0, 0, 0)
+    occ = st.OccupancyVector(2, 1, counts)
     _, coeff = st._scan_coefficients(counts, 1, 2)
     shifts = tuple(sorted({c - min(coeff) for c in coeff}))
     monkeypatch.setattr(st, "_CLASS_RESULTS", {})
@@ -548,23 +561,28 @@ def test_witness_errors_name_their_occupancy(monkeypatch):
         patch.setattr(st, "_class_scan", lambda *args: st._scan_witness(coeff, shifts, bad, 2, 0))
         with pytest.raises(RuntimeError, match=r"^bitset walk lost its witness at 2 of 2 draws "
                            r"for counts \(0, 2, 1, 0, 0, 0\) with N=1, b=2$"):
-            st.find_admissible_r(counts, bound=6, N=1, b=2)
-    monkeypatch.setattr(st, "_checked_weight", lambda counts, r, N, b, sign: 1 if sign > 0 else 0)
+            st.find_admissible_r(occ, bound=6)
+    monkeypatch.setattr(st, "_weight", lambda m, r, sign: 1 if sign > 0 else 0)
     with pytest.raises(RuntimeError, match=r"^witness \(3, 1, 1\) failed the weight check "
                        r"for counts \(0, 2, 1, 0, 0, 0\) with N=1, b=2$"):
-        st.find_admissible_r(counts, bound=6, N=1, b=2)
+        st.find_admissible_r(occ, bound=6)
 
 
 def test_witness_check_reads_the_counts_once(monkeypatch):
-    calls = []
-    checked = st._counts_nb
-    monkeypatch.setattr(st, "_counts_nb", lambda *args: calls.append(args) or checked(*args))
+    """Counts are checked only when the vector is made: the oracles never check them
+    again, and once the vector keeps its class only the witness check reads them."""
+    checked, scans, weights = [], [], []
+    indices, coefficients, weight = st._indices, st._scan_coefficients, st._weight
+    monkeypatch.setattr(st, "_indices", lambda v, what: checked.append(what) or indices(v, what))
+    monkeypatch.setattr(st, "_scan_coefficients", lambda *a: scans.append(a) or coefficients(*a))
+    monkeypatch.setattr(st, "_weight", lambda m, r, sign: weights.append(sign) or weight(m, r, sign))
     occ = st.occupancy(next(st.iter_strata(4, 2, b=2, admissible_only=True)))
-    assert st.r_exists(occ)  # keeps the occupancy's class, so only the witness check reads counts
+    assert st.r_exists(occ) and len(scans) == 1
     for bound in (None, 12):
-        calls.clear()
+        weights.clear()
         assert st.find_admissible_r(occ, bound=bound) is not None
-        assert len(calls) == 1
+        assert weights == [1, -1] and len(scans) == 1
+    assert "counts" not in checked
 
 
 @given(hs.sampled_from(POOL_32))
@@ -579,6 +597,23 @@ def test_witnesses_exist_exactly_for_admissible(s):
     if r is not None:
         occ = st.occupancy(s)
         assert (st.W_plus(occ, r) + st.W_minus(occ, r)) % (2 * s.N * r.rsum) == 0
+
+
+@hs.composite
+def all_ones_vectors(draw):
+    N, b = draw(hs.integers(1, 3)), draw(hs.integers(0, 3))
+    size = 2 * N * (b + 1)
+    return st.OccupancyVector(b, N, draw(hs.lists(hs.integers(0, 3), min_size=size, max_size=size)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(all_ones_vectors())
+def test_oracles_agree_on_any_all_ones_vector(m):
+    bounded, brute = st.find_admissible_r(m, bound=12), _first_cancelling_tuple(m, 12)
+    assert (bounded is None) == (brute is None)
+    if bounded is not None:
+        assert st.r_exists(m) and bounded.rsum == sum(brute)
+    assert st.r_exists(m) == (st.find_admissible_r(m) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -727,12 +762,7 @@ def test_construction_refuses_points_that_are_not_integers(point):
     (lambda: st.ExpansionTuple((1.9, 2.2)), "expansion entries must be integers, got 1.9"),
     (lambda: st.OccupancyVector(2, 1.7, (1, 2, 1, 0, 0, 0)), "b and N must be integers, got 1.7"),
     (lambda: st.OccupancyVector(2, 1, (0.9, 2, 1, 0, 0, 0)), "counts must be integers, got 0.9"),
-    (lambda: st.r_exists(("1", 1, 1, 0, 0, 0), N=1, b=2), "counts must be integers, got '1'"),
-    (lambda: st.r_exists((1, 1, 1, 0, 0, 0), N=1.0, b=2), "N and b must be integers, got 1.0"),
-    (lambda: st.W_plus(st.OccupancyVector(2, 1, (0, 2, 1, 0, 0, 0)), (1, 1, 1), b=2.5),
-     "N and b must be integers, got 2.5"),
-], ids=["ExpansionTuple", "OccupancyVector-N", "OccupancyVector-counts", "r_exists-counts",
-        "r_exists-N", "W_plus-b"])
+], ids=["ExpansionTuple", "OccupancyVector-N", "OccupancyVector-counts"])
 def test_oracle_records_refuse_values_that_are_not_integers(call, message):
     with pytest.raises(ValueError) as err:
         call()
@@ -809,16 +839,6 @@ def test_cached_chart_facts_match_recomputation(engine_strata):
             else:
                 with pytest.raises(ValueError):
                     st.cell_dimension(t)
-
-
-def test_codim_one_face_items_filter_all_faces(engine_strata):
-    for s in dict.fromkeys(engine_strata):
-        for k in st.valid_levels(s):
-            want = {
-                (f, fk) for f, fk in st.face_items(s, k)
-                if st.cell_dimension(f) == st.cell_dimension(s) - 1
-            }
-            assert st.face_items(s, k, codim=1) == want
 
 
 def test_chart_classes_slice_flat_residues(engine_strata):
