@@ -17,6 +17,7 @@ import json
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
@@ -136,6 +137,9 @@ class DualComplex:
     def _covers(self) -> Tuple[Dict[str, Tuple[str, ...]], Dict[str, Tuple[str, ...]]]:
         """(up, down), both filled in sorted incidence order from one sort."""
         up: Dict[str, List[str]] = {c.id: [] for c in self.cells}
+        if len(up) != len(self.cells):
+            raise ValueError("cell %r is listed twice" % next(
+                cid for cid, times in Counter(c.id for c in self.cells).items() if times > 1))
         down: Dict[str, List[str]] = {c.id: [] for c in self.cells}
         try:
             for lo, hi in sorted(self.incidence):
@@ -147,8 +151,8 @@ class DualComplex:
 
     @cached_property
     def _derived(self) -> dict:
-        """Results computed once per complex: the disk report, layouts, the stray cell, the
-        first incidence that is no cover."""
+        """Results computed once per complex: the disk report, layouts, connectedness, the
+        first incidence that is no cover, the automorphism group and its orders."""
         return {}
 
     def f_vector(self) -> Tuple[int, ...]:
@@ -162,24 +166,19 @@ class DualComplex:
         return sum((-1) ** d * f for d, f in enumerate(self.f_vector()))
 
     def is_connected(self) -> bool:
-        """Whether the incidence graph joins all cells; an empty complex is."""
-        return _stray_cell(self) is None
-
-
-def _stray_cell(cx: DualComplex) -> Optional[str]:
-    """The first cell the incidence graph does not join to cx.cells[0], else None; kept on cx."""
-    if "stray" not in cx._derived:
-        seen = {c.id for c in cx.cells[:1]}
-        queue = list(seen)
-        while queue:
-            here = queue.pop()
-            for nb in cx.up[here] + cx.down[here]:
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        cx._derived["stray"] = None if len(seen) == len(cx.cells) else next(
-            c.id for c in cx.cells if c.id not in seen)
-    return cx._derived["stray"]
+        """Whether the incidence graph joins all cells; an empty complex is.  Kept on the
+        complex."""
+        if "connected" not in self._derived:
+            seen = {c.id for c in self.cells[:1]}
+            queue = list(seen)
+            while queue:
+                here = queue.pop()
+                for nb in self.up[here] + self.down[here]:
+                    if nb not in seen:
+                        seen.add(nb)
+                        queue.append(nb)
+            self._derived["connected"] = len(seen) == len(self.cells)
+        return self._derived["connected"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -538,77 +537,25 @@ def type4_vertices(cx: DualComplex) -> Tuple[Cell, ...]:
 # automorphisms
 
 
-def _flag_tables(cx: DualComplex):
-    """The maximal flags of cx, vertex first, as tuples of cell indices (positions in
-    cx.cells), and flips[r][i], the index of the flag that differs from flags[i] only at
-    rank r, else i; refuses, naming a cell, what the search could misread."""
-    top = max((c.dim for c in cx.cells), default=-1)
-    for d in range(top):  # the search maps flags, which end in top cells
-        for c in cx.by_dim.get(d, ()):
-            if not cx.up[c.id]:
-                raise ValueError("complex is not pure %d-dimensional at %s" % (top, c.id))
-    stray = _stray_cell(cx)
-    if stray is not None:
-        raise ValueError("complex is not connected: %s lies outside the component of %s"
-                         % (stray, cx.cells[0].id))
-    index = {c.id: i for i, c in enumerate(cx.cells)}
-    dims = [c.dim for c in cx.cells]
-    down = [[index[x] for x in cx.down[c.id]] for c in cx.cells]
-    flags = [(i,) for i, d in enumerate(dims) if d == top]
-    for d in range(top - 1, -1, -1):
-        flags = [(x,) + f for f in flags for x in down[f[0]] if dims[x] == d]
-    missing = set(range(len(dims))).difference(*flags)
-    if missing:
-        raise ValueError("cell %s lies in no flag" % cx.cells[min(missing)].id)
-    flips = [list(range(len(flags))) for _ in range(top + 1)]
-    for r in reversed(range(top + 1)):  # ridges first, then diamonds downward
-        pairs: Dict[tuple, List[int]] = {}
-        for i, f in enumerate(flags):
-            pairs.setdefault(f[:r] + f[r + 1:], []).append(i)
-        for group in pairs.values():
-            f = flags[group[0]]
-            if r == top and len(group) > 2:
-                raise ValueError("ridge %s lies in %d top cells"
-                                 % (cx.cells[f[r - 1]].id, len(group)))
-            if r < top and len(group) != 2:
-                raise ValueError("interval below %s%s is not a diamond: it holds %d, not 2, cells"
-                                 % (cx.cells[f[r + 1]].id,
-                                    " above %s" % cx.cells[f[r - 1]].id if r else "", len(group)))
-            if len(group) == 2:
-                flips[r][group[0]], flips[r][group[1]] = group[1], group[0]
-    return flags, flips
-
-
 def automorphisms(cx: DualComplex) -> Tuple[Dict[str, str], ...]:
     """The incidence automorphisms of cx, each a cell permutation (id -> id), the
     identity first; searched once per complex and kept on it, with their orders.
 
-    The search maps maximal flags, chains of cells from a vertex up to a top
-    cell.  An automorphism commutes with flips, so the image of the first flag
-    fixes it: the seeds, that flag onto each flag, enumerate all candidates, and
-    a candidate is kept when it is a bijection that preserves the incidence.  It
-    refuses, naming a cell, what _flag_tables refuses or top cells not joined
-    through ridges; a refusal is not kept, so each call raises it again.
+    They are the isomorphisms of the cover graph of cx onto itself, which
+    polytope._isomorphisms lists, so any complex gets its whole group.  It
+    refuses, naming it, an incidence with an unknown cell and a cell listed
+    twice; a refusal is not kept, so each call raises it again.
     """
     group = cx._derived.get("automorphisms")
     if group is not None:
         return group
-    flags, flips = _flag_tables(cx)
     name = [c.id for c in cx.cells]
-    degree = [len(cx.up[i]) for i in name]
-    found = [] if flags else [{}]  # a complex without cells has the empty map alone
-    for seed in range(len(flags)):
-        fmap, cmap = _propagate(flags, flips, degree, seed)
-        if fmap is None:
-            continue
-        if len(fmap) < len(flags):  # only at seed 0, the identity: all seeds reach the same flags
-            missed = next(f for i, f in enumerate(flags) if i not in fmap)
-            raise ValueError("top cells are not joined through ridges: %s is not reached from %s"
-                             % (name[missed[-1]], name[flags[0][-1]]))
-        if len(set(cmap.values())) == len(cmap):
-            perm = {name[i]: name[cmap[i]] for i in range(len(name))}
-            if all((perm[a], perm[b]) in cx.incidence for a, b in cx.incidence):
-                found.append(perm)
+    index = {cid: i for i, cid in enumerate(name)}
+    graph = ([c.dim for c in cx.cells], [[index[u] for u in cx.up[cid]] for cid in name],
+             [[index[d] for d in cx.down[cid]] for cid in name])
+    identity = list(range(len(name)))
+    maps = sorted(polytope._isomorphisms(graph, graph), key=identity.__ne__)
+    found = [dict(zip(name, map(name.__getitem__, m))) for m in maps]
     cx._derived["automorphism orders"] = frozenset(map(_permutation_order, found))
     group = cx._derived["automorphisms"] = tuple(found)
     return group
@@ -629,31 +576,6 @@ def has_automorphism(cx: DualComplex, order: int) -> bool:
         raise ValueError("order must be at least 2, got %s" % (order,))
     automorphisms(cx)
     return value in cx._derived["automorphism orders"]
-
-
-def _propagate(flags, flips, degree, seed: int):
-    """The flag and cell maps that send flags[0] onto flags[seed] and commute with flips, or
-    None, None once a flag or a cell would get two images or a cell another up-degree (equal
-    up-degrees on the ridges make a top flip exist on both sides or on neither).  The maps
-    are dicts filled as flips reach flags, so a seed that fails early costs little."""
-    cmap, fmap, queue = dict(zip(flags[0], flags[seed])), {0: seed}, [0]
-    if any(degree[a] != degree[b] for a, b in cmap.items()):
-        return None, None
-    while queue:
-        f = queue.pop()
-        g = fmap[f]
-        for r, row in enumerate(flips):
-            f2, g2 = row[f], row[g]
-            if f2 in fmap:
-                if fmap[f2] != g2:
-                    return None, None
-                continue
-            x, y = flags[f2][r], flags[g2][r]  # the one cell f2 adds to the map
-            if cmap.setdefault(x, y) != y or degree[x] != degree[y]:
-                return None, None
-            fmap[f2] = g2
-            queue.append(f2)
-    return fmap, cmap
 
 
 def _permutation_order(perm: Dict[str, str]) -> int:

@@ -8,6 +8,7 @@ participates in cone building.  No coordinates, no hulls.
 
 from __future__ import annotations
 
+import heapq
 from functools import cached_property, reduce
 from operator import and_
 from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Tuple
@@ -213,27 +214,84 @@ def slice_lattice(n_plus: int, n_minus: int, n_zero: int) -> FacePoset:
     return _labelled(labels, _slice_faces(plus, both ^ plus, ((1 << len(labels)) - 1) ^ both))
 
 
-def _refine_colors(p: FacePoset, up, down) -> Dict[Face, int]:
-    # Weisfeiler-Leman style refinement on the cover graph.
-    color = {f: p.dim_of(f) for f in p.faces}
-    while True:
-        sig = {
-            f: (
-                color[f],
-                tuple(sorted(color[g] for g in up[f])),
-                tuple(sorted(color[g] for g in down[f])),
-            )
-            for f in p.faces
-        }
-        palette = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new = {f: palette[sig[f]] for f in p.faces}
-        if len(set(new.values())) == len(set(color.values())):
-            return new
-        color = new
+def _isomorphisms(p, q, first: bool = False) -> list:
+    """Every isomorphism of the cover graph p onto q, or only the first one found.
+
+    A graph is (dims, up, down), int-indexed lists: cell i has dimension
+    dims[i] and covers up[i], and is a cover of down[i].  An isomorphism is
+    a list sending cell i of p to cell image[i] of q that keeps dimensions
+    and maps up onto up and down onto down.  A cell's colour is (dim, up
+    count, down count).  The cells are placed in an order fixed before the
+    search: next the one with the most placed neighbours, then the higher
+    dimension, then the lower index, and a new component at its rarest
+    colour.  A cell's candidates are the same-side neighbours of one placed
+    neighbour's image, a root's every cell of its colour; a candidate is
+    taken when it is unused, has the cell's colour and lies next to every
+    placed neighbour's image on the same side.
+    """
+    (dims, up, down), (dims_q, up_q, down_q) = p, q
+    colour = list(zip(dims, map(len, up), map(len, down)))
+    colour_q = list(zip(dims_q, map(len, up_q), map(len, down_q)))
+    if sorted(colour) != sorted(colour_q):
+        return []
+    n = len(colour)
+    if not n:
+        return [[]]
+    of_colour: Dict[tuple, list] = {}
+    for j, c in enumerate(colour_q):
+        of_colour.setdefault(c, []).append(j)
+    sides, sides_q = (up, down), (up_q, down_q)
+    # the order: per position a cell, its anchor (a placed neighbour and the side of
+    # the anchor's image that lists the candidates) and the other placed neighbours,
+    # each with the side of a candidate that must hold its image
+    order, anchors, checks = [], [], []
+    roots = iter(sorted(range(n), key=lambda x: (len(of_colour[colour[x]]), -dims[x], x)))
+    seen, count, heap = [False] * n, [0] * n, []
+    while len(order) < n:
+        while heap and seen[heap[0][2]]:
+            heapq.heappop(heap)
+        x = heapq.heappop(heap)[2] if heap else next(x for x in roots if not seen[x])
+        seen[x] = True
+        placed = [(y, s) for s in (0, 1) for y in sides[s][x] if seen[y]]
+        anchor = next(((y, s) for y, s in placed if y != x), None)
+        order.append(x)
+        anchors.append(None if anchor is None else (anchor[0], sides_q[1 - anchor[1]]))
+        checks.append([(y, sides_q[s]) for y, s in placed if (y, s) != anchor])
+        for y in (*up[x], *down[x]):
+            if not seen[y]:
+                count[y] += 1
+                heapq.heappush(heap, (-count[y], -dims[y], y))
+    found: list = []
+    image, used, tries = [-1] * n, [False] * n, [None] * n
+    pos = 0
+    while pos >= 0:
+        x = order[pos]
+        if tries[pos] is None:
+            anchor = anchors[pos]
+            tries[pos] = iter(anchor[1][image[anchor[0]]] if anchor else of_colour[colour[x]])
+        else:  # back from a deeper position, or from a whole map
+            used[image[x]] = False
+        for j in tries[pos]:
+            if not used[j] and colour_q[j] == colour[x]:
+                image[x] = j  # set before the checks, so that a loop x -> x is checked too
+                if all(image[y] in side[j] for y, side in checks[pos]):
+                    break
+        else:
+            tries[pos] = None
+            pos -= 1
+            continue
+        used[j] = True
+        if pos < n - 1:
+            pos += 1
+        else:
+            found.append(image[:])
+            if first:
+                break
+    return found
 
 
 def iso(p: FacePoset, q: FacePoset) -> bool:
-    """Graded poset isomorphism via color refinement plus backtracking.
+    """Graded poset isomorphism: one search of the cover graphs (_isomorphisms).
 
     Label bijections are useless across constructions (a slice and a
     simplex can be isomorphic on different generator sets), so only the
@@ -246,42 +304,12 @@ def iso(p: FacePoset, q: FacePoset) -> bool:
     for name, r in (("p", p), ("q", q)):
         if not r.is_graded():
             raise ValueError(f"iso needs graded posets; {name} is not, f-vector {r.f_vector()}")
-    up_p, dn_p, _ = p._scan
-    up_q, dn_q, _ = q._scan
-    col_p = _refine_colors(p, up_p, dn_p)
-    col_q = _refine_colors(q, up_q, dn_q)
-    if sorted(col_p.values()) != sorted(col_q.values()):
-        return False
-    by_color: Dict[int, list] = {}
-    for g, c in col_q.items():
-        by_color.setdefault(c, []).append(g)
-    # most constrained first; the sort is stable, so ties keep face order
-    order = sorted(p.faces, key=lambda f: len(by_color[col_p[f]]))
-    mapping: Dict[Face, Face] = {}
-    used = set()
+    return bool(_isomorphisms(_cover_graph(p), _cover_graph(q), first=True))
 
-    def consistent(f: Face, g: Face) -> bool:
-        for nb in up_p[f]:
-            if nb in mapping and mapping[nb] not in up_q[g]:
-                return False
-        for nb in dn_p[f]:
-            if nb in mapping and mapping[nb] not in dn_q[g]:
-                return False
-        return True
 
-    def back(i: int) -> bool:
-        if i == len(order):
-            return True
-        f = order[i]
-        for g in by_color[col_p[f]]:
-            if g in used or not consistent(f, g):
-                continue
-            mapping[f] = g
-            used.add(g)
-            if back(i + 1):
-                return True
-            del mapping[f]
-            used.discard(g)
-        return False
-
-    return back(0)
+def _cover_graph(p: FacePoset):
+    """(dims, up, down) of p over face indices, for _isomorphisms."""
+    up, down, _ = p._scan
+    index = {f: i for i, f in enumerate(p.faces)}
+    return ([p._dims[f] for f in p.faces], [[index[g] for g in up[f]] for f in p.faces],
+            [[index[g] for g in down[f]] for f in p.faces])

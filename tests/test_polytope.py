@@ -145,6 +145,72 @@ def test_iso_negative():
     assert not pt.iso(pt.simplex(2), pt.simplex(3))
 
 
+def test_iso_of_a_large_simplex():
+    # 1,023 faces, more than the default recursion limit
+    assert pt.iso(pt.slice_lattice(1, 1, 9), pt.simplex(9))
+
+
+def test_iso_of_swapped_factors():
+    # the slice lists the 2-simplex factor first, the model the 3-simplex
+    assert pt.iso(pt.slice_lattice(3, 4, 0), pt.cone(pt.product(pt.simplex(3), pt.simplex(2)), 0))
+
+
+def brute_force_iso(p, q):
+    """Reference: try every dimension-keeping bijection of the faces on the covers."""
+    if p.f_vector() != q.f_vector():
+        return False
+    covers_p, covers_q = set(reference_covers(p)), set(reference_covers(q))
+    dims = range(len(p.f_vector()))
+    faces_p = [f for d in dims for f in p.faces if p.dim_of(f) == d]
+    for parts in itertools.product(*(itertools.permutations([g for g in q.faces if q.dim_of(g) == d])
+                                     for d in dims)):
+        phi = dict(zip(faces_p, (g for part in parts for g in part)))
+        if {(phi[f], phi[g]) for f, g in covers_p} == covers_q:
+            return True
+    return False
+
+
+def _closure(tops):
+    """The simplicial complex of the faces tops, each face's dimension its size less one."""
+    return pt.FacePoset({frozenset(sub): size - 1 for top in tops for size in range(1, len(top) + 1)
+                         for sub in itertools.combinations(sorted(top), size)})
+
+
+# graded posets of at most 7 faces: pure simplicial complexes, and any graded family
+GRADED = hs.one_of(
+    hs.lists(hs.frozensets(hs.integers(0, 4), min_size=1, max_size=3), min_size=1, max_size=4)
+    .map(_closure),
+    hs.dictionaries(hs.frozensets(hs.integers(0, 4), min_size=1), hs.integers(0, 2), max_size=7)
+    .map(pt.FacePoset),
+).filter(lambda p: len(p) <= 7 and p.is_graded())
+
+
+@hs.composite
+def graded_pairs(draw):
+    """Two graded posets: any two, a relabelled copy, or two graphs with as many edges."""
+    kind = draw(hs.sampled_from(["any", "copy", "graphs"]))
+    if kind == "graphs":
+        pairs = list(itertools.combinations(range(draw(hs.integers(2, 4))), 2))
+        count = draw(hs.integers(1, min(3, len(pairs))))
+        return tuple(_closure(draw(hs.lists(hs.sampled_from(pairs), min_size=count, max_size=count,
+                                            unique=True))) for _ in range(2))
+    p = draw(GRADED)
+    if kind == "any":
+        return p, draw(GRADED)
+    relabel = draw(hs.permutations(range(5)))
+    return p, pt.FacePoset({frozenset(relabel[x] for x in f): p.dim_of(f) for f in p.faces})
+
+
+PATH = {frozenset({i}): 0 for i in range(4)} | {frozenset({i, i + 1}): 1 for i in range(3)}
+STAR = {frozenset({i}): 0 for i in range(4)} | {frozenset({0, i}): 1 for i in range(1, 4)}
+
+
+@given(graded_pairs())
+@example((pt.FacePoset(PATH), pt.FacePoset(STAR)))  # one f-vector, not isomorphic
+def test_iso_matches_brute_force(pair):
+    assert pt.iso(*pair) == brute_force_iso(*pair)
+
+
 def pairwise_scan(p):
     """Reference: (up, down, monotone) by an F^2 loop over pairs f < g."""
     up = {f: [] for f in p.faces}
