@@ -59,8 +59,7 @@ def _cell_kind(s: st.Stratum, k: int) -> Tuple[Classification, Tuple[int, int, i
     plus, minus, zero = st._sides(st.chart_of(s).vertices, k)
     shape = (zero.bit_count(), plus.bit_count(), minus.bit_count())
     dim = st.cell_dimension(s)
-    body = ",".join("(%%d,%+d)" % p.x if p.x else "(%d,0)" for p in s.points)
-    template = "X{n=%d;N=%d;b=%d;[%s]}" % (s.n, s.N, s.b, body)
+    template = st._literal_template(s.n, s.N, s.b, [p.x for p in s.points])
     expected = shape[0] - 1 if cls is Classification.NARROW else sum(shape) - 2
     if dim != expected:
         raise InvariantError("cell dimension %d does not match lattice shape %r of %s" % (
@@ -106,6 +105,24 @@ class DualComplex:
     cells: Tuple[Cell, ...]
     incidence: FrozenSet[Tuple[str, str]]  # (face id, cell id), dims differ by 1
 
+    def __post_init__(self) -> None:
+        """Refuse a cell listed twice and an incidence that is no cover: an unknown cell,
+        a self-incidence or dims other than d and d + 1.  The sorted-first bad pair is named."""
+        dims = {c.id: c.dim for c in self.cells}
+        if len(dims) != len(self.cells):
+            raise ValueError("cell %r is listed twice" % next(
+                cid for cid, times in Counter(c.id for c in self.cells).items() if times > 1))
+        bad = [(lo, hi) for lo, hi in self.incidence
+               if lo not in dims or hi not in dims or dims[hi] - dims[lo] != 1]
+        if bad:
+            lo, hi = min(bad)
+            if lo not in dims or hi not in dims:
+                raise ValueError("incidence (%r, %r) references an unknown cell" % (lo, hi))
+            if lo == hi:
+                raise ValueError("self-incidence (%r, %r)" % (lo, hi))
+            raise ValueError("incidence (%r, %r) joins dims %d and %d, not d and d + 1"
+                             % (lo, hi, dims[lo], dims[hi]))
+
     @cached_property
     def by_id(self) -> Dict[str, Cell]:
         return {c.id: c for c in self.cells}
@@ -137,22 +154,15 @@ class DualComplex:
     def _covers(self) -> Tuple[Dict[str, Tuple[str, ...]], Dict[str, Tuple[str, ...]]]:
         """(up, down), both filled in sorted incidence order from one sort."""
         up: Dict[str, List[str]] = {c.id: [] for c in self.cells}
-        if len(up) != len(self.cells):
-            raise ValueError("cell %r is listed twice" % next(
-                cid for cid, times in Counter(c.id for c in self.cells).items() if times > 1))
         down: Dict[str, List[str]] = {c.id: [] for c in self.cells}
-        try:
-            for lo, hi in sorted(self.incidence):
-                up[lo].append(hi)
-                down[hi].append(lo)
-        except KeyError:
-            raise ValueError("incidence (%r, %r) references an unknown cell" % (lo, hi)) from None
+        for lo, hi in sorted(self.incidence):
+            up[lo].append(hi)
+            down[hi].append(lo)
         return ({i: tuple(v) for i, v in up.items()}, {i: tuple(v) for i, v in down.items()})
 
     @cached_property
     def _derived(self) -> dict:
-        """Results computed once per complex: the disk report, layouts, connectedness, the
-        first incidence that is no cover, the automorphism group and its orders."""
+        """Results kept on the complex: disk report, layouts, connectedness, automorphisms."""
         return {}
 
     def f_vector(self) -> Tuple[int, ...]:
@@ -372,27 +382,16 @@ class DiskReport:
 def verify_disk(cx: DualComplex) -> DiskReport:
     """Check connectivity, purity, link and boundary conditions, and Euler.
 
-    An incidence whose dimensions do not differ by one is no cover, so it
-    is refused, not read as a failed axiom.  The report, or the first such
-    incidence, is found once per complex and kept on it.
+    The report is found once per complex and kept on it.
     """
     if cx.n != 3:
         raise ValueError(
             "disk verification applies to n = 3 complexes, got (n, N) = (%d, %d)"
             % (cx.n, cx.N)
         )
-    if "skew" not in cx._derived:  # the first incidence in sorted order that is no cover
-        cell = cx.by_id
-        cx._derived["skew"] = min(
-            ((lo, hi, cell[lo].dim, cell[hi].dim) for hi, los in cx.down.items() for lo in los
-             if cell[hi].dim - cell[lo].dim != 1), default=None)
-    if cx._derived["skew"] is not None:
-        raise ValueError("incidence (%r, %r) joins dims %d and %d, not d and d + 1"
-                         % cx._derived["skew"])
-    report = cx._derived.get("disk")
-    if report is None:
-        report = cx._derived["disk"] = _check_disk(cx)
-    return report
+    if "disk" not in cx._derived:
+        cx._derived["disk"] = _check_disk(cx)
+    return cx._derived["disk"]
 
 
 def _walk(adj: Dict[str, List[str]]) -> Optional[Tuple[str, ...]]:
@@ -542,9 +541,7 @@ def automorphisms(cx: DualComplex) -> Tuple[Dict[str, str], ...]:
     identity first; searched once per complex and kept on it, with their orders.
 
     They are the isomorphisms of the cover graph of cx onto itself, which
-    polytope._isomorphisms lists, so any complex gets its whole group.  It
-    refuses, naming it, an incidence with an unknown cell and a cell listed
-    twice; a refusal is not kept, so each call raises it again.
+    polytope._isomorphisms lists, so any complex gets its whole group.
     """
     group = cx._derived.get("automorphisms")
     if group is not None:
@@ -564,9 +561,8 @@ def automorphisms(cx: DualComplex) -> Tuple[Dict[str, str], ...]:
 def has_automorphism(cx: DualComplex, order: int) -> bool:
     """Whether some incidence automorphism of cx has exactly the given order.
 
-    It reads the element orders that automorphisms(cx) keeps on cx, so asking
-    for several orders searches once; it refuses what automorphisms refuses,
-    and an order that is not an integer of at least 2.
+    It reads the element orders that automorphisms(cx) keeps on cx, so asking for
+    several orders searches once.  It refuses an order that is not an integer >= 2.
     """
     try:
         value = operator.index(order)
@@ -856,7 +852,8 @@ def parse_complex(data) -> DualComplex:
     Each cell is remade from its points and level, and its id must be the
     one ``build`` gives that cell.  Points must be canonical, as the exporter
     writes them (see _read_cell), and the cells of one level data (b, xs)
-    share one record of their chart, valid levels and cell kinds.
+    share one record of their chart, valid levels and cell kinds.  Of each
+    incidence pair only the JSON shape is checked here; DualComplex does the rest.
     """
     try:
         if isinstance(data, bytes):
@@ -871,7 +868,6 @@ def parse_complex(data) -> DualComplex:
     if n < 2 or N < 1:
         raise ValueError("the complex has (n, N) = (%d, %d), not n >= 2 and N >= 1" % (n, N))
     cells = []
-    dims: Dict[str, int] = {}
     groups: Dict[tuple, _Group] = {}
     for i, entry in enumerate(_field(data, "cells", list, "the complex")):
         cid, cell = _read_cell(entry, i, n, N, groups)
@@ -880,25 +876,11 @@ def parse_complex(data) -> DualComplex:
         if (cell.dim != _field(entry, "dim", int, "cell %r", cid)
                 or str(cell.cls) != _field(entry, "class", str, "cell %r", cid)):
             raise ValueError("cell metadata mismatch for %r" % cid)
-        if cid in dims:
-            raise ValueError("duplicate cell id %r" % cid)
-        dims[cid] = cell.dim
         cells.append(cell)
-    incidence = set()
-    for pair in _field(data, "incidence", list, "the complex"):
+    pairs = _field(data, "incidence", list, "the complex")
+    for pair in pairs:
         if not (isinstance(pair, list) and len(pair) == 2
                 and isinstance(pair[0], str) and isinstance(pair[1], str)):
             raise ValueError("incidence entry %r is not a pair of cell ids" % (pair,))
-        lo, hi = pair
-        if lo not in dims or hi not in dims:
-            raise ValueError("incidence (%r, %r) references an unknown cell" % (lo, hi))
-        if lo == hi:
-            raise ValueError("self-incidence (%r, %r)" % (lo, hi))
-        if dims[hi] - dims[lo] != 1:
-            raise ValueError(
-                "incidence (%r, %r) joins dims %d and %d, not d and d + 1"
-                % (lo, hi, dims[lo], dims[hi])
-            )
-        incidence.add((lo, hi))
     cells.sort(key=lambda c: c.id)
-    return DualComplex(n, N, tuple(cells), frozenset(incidence))
+    return DualComplex(n, N, tuple(cells), frozenset(map(tuple, pairs)))

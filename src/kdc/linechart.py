@@ -18,6 +18,7 @@ import collections
 import enum
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
@@ -116,11 +117,7 @@ def _require_valid(chart: LineChart) -> None:
 def valid_neutral_levels(chart: LineChart) -> frozenset[int]:
     """All k whose neutral line y = 2k makes the chart admissible."""
     _require_valid(chart)
-    return _levels_of_heights(chart.heights)
-
-
-def _levels_of_heights(ys) -> frozenset[int]:
-    """valid_neutral_levels of a chart known to be valid, from its heights."""
+    ys = chart.heights
     lo, hi = min(ys), max(ys)
     if lo == hi:
         # narrow case needs the common height to be even
@@ -257,12 +254,22 @@ _CHART_RE = re.compile(r"^LC\{\s*n=(\d+)\s*;((?:\s*\(\s*-?\d+\s*,\s*[+-]?\d+\s*\
 _PAIR_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*([+-]?\d+)\s*\)")
 
 
+def _literal_int(digits: str, kind: str, field: str) -> int:
+    """int(digits), refused past Python's digit limit by literal kind and field, not value."""
+    try:
+        return int(digits)
+    except ValueError:  # the literal regexes admit only digits, so only the limit fails
+        raise ValueError(f"{kind} literal field {field!r} has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def parse_chart(text: str) -> LineChart:
     m = _CHART_RE.match(text.strip())
     if not m:
         raise ValueError(f"malformed chart literal: {text!r}")
-    n = int(m.group(1))
-    return LineChart(n, ((int(x), int(y)) for x, y in _PAIR_RE.findall(m.group(2))))
+    n = _literal_int(m.group(1), "chart", "n")
+    return LineChart(n, ((_literal_int(x, "chart", "x"), _literal_int(y, "chart", "y"))
+                         for x, y in _PAIR_RE.findall(m.group(2))))
 
 
 def format_chart(chart: LineChart) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from functools import cached_property, reduce
 from operator import and_
-from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Mapping, Tuple
 
 Face = FrozenSet[Hashable]
 
@@ -253,10 +253,9 @@ def _isomorphisms(p, q, first: bool = False) -> list:
         x = heapq.heappop(heap)[2] if heap else next(x for x in roots if not seen[x])
         seen[x] = True
         placed = [(y, s) for s in (0, 1) for y in sides[s][x] if seen[y]]
-        anchor = next(((y, s) for y, s in placed if y != x), None)
         order.append(x)
-        anchors.append(None if anchor is None else (anchor[0], sides_q[1 - anchor[1]]))
-        checks.append([(y, sides_q[s]) for y, s in placed if (y, s) != anchor])
+        anchors.append((placed[0][0], sides_q[1 - placed[0][1]]) if placed else None)
+        checks.append([(y, sides_q[s]) for y, s in placed[1:]])
         for y in (*up[x], *down[x]):
             if not seen[y]:
                 count[y] += 1
@@ -273,7 +272,7 @@ def _isomorphisms(p, q, first: bool = False) -> list:
             used[image[x]] = False
         for j in tries[pos]:
             if not used[j] and colour_q[j] == colour[x]:
-                image[x] = j  # set before the checks, so that a loop x -> x is checked too
+                image[x] = j
                 if all(image[y] in side[j] for y, side in checks[pos]):
                     break
         else:

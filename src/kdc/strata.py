@@ -30,6 +30,7 @@ from typing import Iterator, NamedTuple, Optional
 from .linechart import (
     Classification,
     LineChart,
+    _literal_int,
     valid_neutral_levels,
     validate,
 )
@@ -43,7 +44,7 @@ class PointLabel(NamedTuple):
     x: int
 
     def __str__(self) -> str:
-        return f"({self.tau},{self.x:+d})" if self.x else f"({self.tau},0)"
+        return _point_template(self.x) % self.tau
 
 
 @dataclass(frozen=True)
@@ -869,10 +870,20 @@ def parse_stratum(text: str) -> Stratum:
     leftover = _POINT_RE.sub("", body).replace(",", "").strip()
     if leftover:
         raise ValueError(f"unparsed stratum content: {leftover!r}")
-    pts = [(int(t), int(x)) for t, x in _POINT_RE.findall(body)]
-    return Stratum(int(m.group(1)), int(m.group(2)), int(m.group(3)), pts)
+    pts = [(_literal_int(t, "stratum", "tau"), _literal_int(x, "stratum", "x"))
+           for t, x in _POINT_RE.findall(body)]
+    return Stratum(*(_literal_int(m.group(i), "stratum", f) for i, f in enumerate("nNb", 1)), pts)
+
+
+def _point_template(x: int) -> str:
+    """A point's literal at level x, with ``%d`` left for its residue."""
+    return "(%%d,%+d)" % x if x else "(%d,0)"
+
+
+def _literal_template(n: int, N: int, b: int, xs) -> str:
+    """The literal of the strata with these n, N, b and point levels xs, ``%d`` per residue."""
+    return "X{n=%d;N=%d;b=%d;[%s]}" % (n, N, b, ",".join(map(_point_template, xs)))
 
 
 def format_stratum(s: Stratum) -> str:
-    body = ",".join(str(p) for p in s.points)
-    return f"X{{n={s.n};N={s.N};b={s.b};[{body}]}}"
+    return _literal_template(s.n, s.N, s.b, [p.x for p in s.points]) % _residues(s)

@@ -141,6 +141,19 @@ def test_chart_refuses_a_count_too_long_to_print(capsys):
     assert "15001-vertex chart" in err and "cannot be printed" in err
 
 
+@pytest.mark.parametrize("field, literal", [
+    ("n", "LC{n=%s;(0,0)(1,1)}" % ("9" * 5000)),
+    ("x", "LC{n=3;(0,0)(%s,1)}" % ("1" * 5001)),
+    ("y", "LC{n=3;(0,0)(1,%s)}" % ("1" * 5001)),
+])
+def test_chart_refuses_a_field_past_the_digit_limit(capsys, field, literal):
+    rc, out, err = run(capsys, "chart", literal)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: chart literal field %r has more than %d digits\n" % (
+        field, sys.get_int_max_str_digits())
+
+
 def test_chart_reports_invalid_without_failing(capsys):
     rc, out, _ = run(capsys, "chart", "LC{n=3;(0,0)(0,0)}")
     assert rc == 0

@@ -560,11 +560,16 @@ def _edge_between_far_vertices(cx):
     return cx.cells + (e,), cx.incidence | {(u.id, e.id), (w.id, e.id)}
 
 
+# cells of build(3, 1): two vertices, an edge and two triangles, in id order
+A, V = "X{n=3;N=1;b=0;[(0,0),(0,+1),(0,+1)]}", "X{n=3;N=1;b=0;[(0,0),(0,0),(0,0)]}"
+E = "X{n=3;N=1;b=1;[(0,0),(0,+1),(0,-1)]}"
+T, T2 = "X{n=3;N=1;b=3;[(0,+1),(0,+2),(0,+3)]}", "X{n=3;N=1;b=3;[(0,+1),(0,+2),(0,-3)]}"
+
+
 def _vertex_on_a_far_triangle(cx):
     """One incidence straight from a vertex to a triangle it is no corner of."""
-    v, t = "X{n=3;N=1;b=0;[(0,0),(0,0),(0,0)]}", "X{n=3;N=1;b=3;[(0,+1),(0,+2),(0,+3)]}"
-    assert v in cx.by_id and v not in dc._corners(cx, t)
-    return cx.cells, cx.incidence | {(v, t)}
+    assert V in cx.by_id and V not in dc._corners(cx, T)
+    return cx.cells, cx.incidence | {(V, T)}
 
 
 def _fan(cx):
@@ -589,10 +594,9 @@ def test_moebius_strip_fails_only_euler():
 
 
 def _without_an_edge_of_a_triangle(cx, vertex_instead=False):
-    edge, tri = "X{n=3;N=1;b=1;[(0,0),(0,+1),(0,-1)]}", "X{n=3;N=1;b=3;[(0,+1),(0,+2),(0,-3)]}"
-    assert (edge, tri) in cx.incidence
-    extra = {(cx.by_dim[0][0].id, tri)} if vertex_instead else set()
-    return cx.cells, cx.incidence - {(edge, tri)} | extra
+    assert (E, T2) in cx.incidence
+    extra = {(cx.by_dim[0][0].id, T2)} if vertex_instead else set()
+    return cx.cells, cx.incidence - {(E, T2)} | extra
 
 
 def _edge_without_ends(cx):
@@ -622,13 +626,7 @@ AUTOMORPHISM_CASES = (
        pytest.param(_perturbed, (2, _moebius), 10, id="moebius-strip"),
        # the path on four vertices: only its reflection
        pytest.param(dc.build, (2, 3), 2, id="build(2,3)"),
-       # no reflection keeps the extra pair
-       pytest.param(_perturbed, (1, _vertex_on_a_far_triangle), 1, id="vertex-on-a-far-triangle"),
-       # the edges swap and the triangles swap, but no edge goes to a triangle
-       pytest.param(_perturbed, (1, _fan), 4, id="vertex-under-edges-and-triangles"),
        pytest.param(_perturbed, (1, _without_an_edge_of_a_triangle), 1, id="triangle-without-an-edge"),
-       pytest.param(_perturbed, (1, lambda cx: _without_an_edge_of_a_triangle(cx, True)), 1,
-                    id="vertex-for-an-edge"),
        pytest.param(_perturbed, (1, _edge_without_ends), 2, id="edge-without-ends"),
        pytest.param(_perturbed, (3, _edge_between_far_vertices), 2, id="edge-in-no-triangle"),
        # each triangle's six symmetries, and the swap
@@ -651,39 +649,75 @@ def test_automorphism_search_matches_reference(make, args, size):
         order in orders for order in range(2, 7)]
 
 
-def test_verify_disk_refuses_an_incidence_that_skips_a_dimension():
-    cx = _perturbed(1, _vertex_on_a_far_triangle)
-    v, t = "X{n=3;N=1;b=0;[(0,0),(0,0),(0,0)]}", "X{n=3;N=1;b=3;[(0,+1),(0,+2),(0,+3)]}"
-    for _ in range(2):
-        with pytest.raises(ValueError) as err:
-            dc.verify_disk(cx)
-        assert str(err.value) == "incidence (%r, %r) joins dims 0 and 2, not d and d + 1" % (v, t)
-    assert cx._derived["skew"] == (v, t, 0, 2) and "disk" not in cx._derived
-    assert [dc.has_automorphism(cx, order) for order in range(2, 7)] == [False] * 5
-    # of several such pairs the first in sorted order is named, here one in a dimension
-    w = cx.by_dim[0][1].id
-    two = dc.DualComplex(3, 1, cx.cells, cx.incidence | {(v, w)})
+def _plus(*pairs):
+    """A tamper of build(3, 1) that adds incidence pairs."""
+    return lambda cx: (cx.cells, cx.incidence | set(pairs))
+
+
+def _skew(lo, hi, d_lo, d_hi):
+    return "incidence (%r, %r) joins dims %d and %d, not d and d + 1" % (lo, hi, d_lo, d_hi)
+
+
+def _unknown(lo, hi):
+    return "incidence (%r, %r) references an unknown cell" % (lo, hi)
+
+
+# tampers of build(3, 1) that leave no complex, and the refusal naming the first bad pair
+NOT_A_COMPLEX = {
+    "a cell listed twice": (lambda cx: (cx.cells + cx.cells[:1], cx.incidence),
+                            "cell %r is listed twice" % A),
+    "an unknown face": (_plus(("nope", A)), _unknown("nope", A)),
+    "an unknown coface": (_plus((A, "nope")), _unknown(A, "nope")),
+    "a self-incidence": (_plus((V, V)), "self-incidence (%r, %r)" % (V, V)),
+    "vertex-on-a-far-triangle": (_vertex_on_a_far_triangle, _skew(V, T, 0, 2)),
+    # the first of its two vertex-to-triangle pairs
+    "vertex-under-edges-and-triangles": (_fan, _skew(A, T, 0, 2)),
+    "vertex-for-an-edge": (lambda cx: _without_an_edge_of_a_triangle(cx, True),
+                           _skew(A, T2, 0, 2)),
+    "two vertices": (_plus((A, V)), _skew(A, V, 0, 0)),
+    "a triangle under an edge": (_plus((T, E)), _skew(T, E, 2, 1)),
+    "two bad pairs": (_plus((V, T), (A, V)), _skew(A, V, 0, 0)),
+    "a skew pair before an unknown cell": (_plus(("nope", A), (T, E)), _skew(T, E, 2, 1)),
+    "an unknown cell before a skew pair": (_plus((A, "nope"), (T, E)), _unknown(A, "nope")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_COMPLEX))
+def test_a_complex_refuses_what_is_not_a_complex(case):
+    """The constructor refuses, and parse_complex of the same tampered export says the same."""
+    tamper, message = NOT_A_COMPLEX[case]
+    cx = dc.build(3, 1)
+    cells, incidence = tamper(cx)
     with pytest.raises(ValueError) as err:
-        dc.verify_disk(two)
-    assert str(err.value) == "incidence (%r, %r) joins dims 0 and 0, not d and d + 1" % (v, w)
+        dc.DualComplex(3, 1, tuple(cells), frozenset(incidence))
+    assert str(err.value) == message
+    data = json.loads(dc.export(cx, "json"))
+    entry = {e["id"]: e for e in data["cells"]}
+    data["cells"] = [entry[c.id] for c in cells]
+    data["incidence"] = [list(pair) for pair in sorted(incidence)]
+    with pytest.raises(ValueError) as err:
+        dc.parse_complex(data)
+    assert str(err.value) == message
 
 
-def test_a_cell_listed_twice_is_named():
-    cx = dc.build(3, 1)
-    for read in (dc.verify_disk, dc.automorphisms, dc.DualComplex.is_connected):
-        with pytest.raises(ValueError) as err:
-            read(dc.DualComplex(3, 1, cx.cells + cx.cells[:1], cx.incidence))
-        assert str(err.value) == "cell %r is listed twice" % cx.cells[0].id
-
-
-def test_an_incidence_with_an_unknown_cell_is_named():
-    cx = dc.build(3, 1)
-    first = cx.cells[0].id
-    for pair in (("nope", first), (first, "nope")):
-        for read in (lambda c: c.up, dc.verify_disk, dc.automorphisms, dc.DualComplex.is_connected):
-            with pytest.raises(ValueError) as err:
-                read(dc.DualComplex(3, 1, cx.cells, cx.incidence | {pair}))
-            assert str(err.value) == "incidence (%r, %r) references an unknown cell" % pair
+@settings(max_examples=60, deadline=None)
+@given(hs.data())
+def test_one_added_pair_is_refused_unless_it_is_a_cover(data):
+    cx = dc.build(3, 2)
+    dims = {c.id: c.dim for c in cx.cells}
+    ids = hs.sampled_from(sorted(dims) + ["nope"])
+    lo, hi = data.draw(ids), data.draw(ids)
+    if lo in dims and hi in dims and dims[hi] == dims[lo] + 1:
+        assert (lo, hi) in dc.DualComplex(3, 2, cx.cells, cx.incidence | {(lo, hi)}).incidence
+        return
+    with pytest.raises(ValueError) as err:
+        dc.DualComplex(3, 2, cx.cells, cx.incidence | {(lo, hi)})
+    if lo not in dims or hi not in dims:
+        assert str(err.value) == _unknown(lo, hi)
+    elif lo == hi:
+        assert str(err.value) == "self-incidence (%r, %r)" % (lo, hi)
+    else:
+        assert str(err.value) == _skew(lo, hi, dims[lo], dims[hi])
 
 
 def test_automorphism_search_works_for_every_n():
@@ -723,17 +757,6 @@ def test_automorphisms_are_kept_on_the_complex():
     assert [dc.has_automorphism(cx, order) for order in range(2, 7)] == [True, True, False, False, False]
     assert dc.automorphisms(cx) is group
     assert dc.automorphisms(dc.DualComplex(3, 1, (), frozenset())) == ({},)
-
-
-def test_a_refused_search_is_not_kept():
-    cx = dc.build(3, 1)
-    pair = ("nope", cx.cells[0].id)
-    cx = dc.DualComplex(3, 1, cx.cells, cx.incidence | {pair})
-    for _ in range(3):
-        with pytest.raises(ValueError) as err:
-            dc.automorphisms(cx)
-        assert str(err.value) == "incidence (%r, %r) references an unknown cell" % pair
-        assert "automorphisms" not in cx._derived and "automorphism orders" not in cx._derived
 
 
 @pytest.mark.parametrize("call, message", [

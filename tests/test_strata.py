@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as hs
@@ -112,6 +113,18 @@ def test_parse_format_round_trip():
         assert st.parse_stratum(st.format_stratum(s)) == s
     with pytest.raises(ValueError):
         st.parse_stratum("X{n=3;N=1;b=0;[junk]}")
+
+
+@pytest.mark.parametrize("field, template", [
+    ("n", "X{n=%s;N=1;b=0;[(0,0),(0,0),(0,0)]}"), ("N", "X{n=3;N=%s;b=0;[(0,0),(0,0),(0,0)]}"),
+    ("b", "X{n=3;N=1;b=%s;[(0,0),(0,0),(0,0)]}"), ("tau", "X{n=3;N=1;b=0;[(0,0),(%s,0),(0,0)]}"),
+    ("x", "X{n=3;N=1;b=0;[(0,0),(0,+%s),(0,0)]}"),
+])
+def test_parse_stratum_names_a_field_past_the_digit_limit(field, template):
+    with pytest.raises(ValueError) as err:
+        st.parse_stratum(template % ("7" * 5001))
+    assert str(err.value) == "stratum literal field %r has more than %d digits" % (
+        field, sys.get_int_max_str_digits())
 
 
 # ---------------------------------------------------------------------------
