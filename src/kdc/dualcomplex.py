@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
 from itertools import compress
-from operator import eq, itemgetter, le
+from operator import attrgetter, eq, itemgetter, le
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from . import polytope
@@ -106,8 +106,10 @@ class DualComplex:
     incidence: FrozenSet[Tuple[str, str]]  # (face id, cell id), dims differ by 1
 
     def __post_init__(self) -> None:
-        """Refuse a cell listed twice and an incidence that is no cover: an unknown cell,
-        a self-incidence or dims other than d and d + 1.  The sorted-first bad pair is named."""
+        """Put the cells in id order, then refuse a cell listed twice and an incidence that
+        is no cover: an unknown cell, a self-incidence or dims other than d and d + 1.  The
+        sorted-first bad pair is named."""
+        object.__setattr__(self, "cells", tuple(sorted(self.cells, key=attrgetter("id"))))
         dims = {c.id: c.dim for c in self.cells}
         if len(dims) != len(self.cells):
             raise ValueError("cell %r is listed twice" % next(
@@ -144,21 +146,31 @@ class DualComplex:
 
     @cached_property
     def up(self) -> Dict[str, Tuple[str, ...]]:
-        return self._covers[0]
+        return self._named(self._graph[1])
 
     @cached_property
     def down(self) -> Dict[str, Tuple[str, ...]]:
-        return self._covers[1]
+        return self._named(self._graph[2])
+
+    def _named(self, sides: List[Tuple[int, ...]]) -> Dict[str, Tuple[str, ...]]:
+        """One side of _graph keyed and listed by cell id."""
+        name = [c.id for c in self.cells]
+        return {cid: tuple(map(name.__getitem__, js)) for cid, js in zip(name, sides)}
 
     @cached_property
-    def _covers(self) -> Tuple[Dict[str, Tuple[str, ...]], Dict[str, Tuple[str, ...]]]:
-        """(up, down), both filled in sorted incidence order from one sort."""
-        up: Dict[str, List[str]] = {c.id: [] for c in self.cells}
-        down: Dict[str, List[str]] = {c.id: [] for c in self.cells}
-        for lo, hi in sorted(self.incidence):
+    def _graph(self) -> Tuple[List[int], List[Tuple[int, ...]], List[Tuple[int, ...]]]:
+        """(dims, up, down), the cover graph over cell positions, which are id order:
+        cell i has dimension dims[i], covers up[i] and is a cover of down[i], each
+        tuple ascending."""
+        index = {c.id: i for i, c in enumerate(self.cells)}
+        up: List[List[int]] = [[] for _ in self.cells]
+        down: List[List[int]] = [[] for _ in self.cells]
+        for lo, hi in self.incidence:
+            lo, hi = index[lo], index[hi]
             up[lo].append(hi)
             down[hi].append(lo)
-        return ({i: tuple(v) for i, v in up.items()}, {i: tuple(v) for i, v in down.items()})
+        return ([c.dim for c in self.cells], [tuple(sorted(js)) for js in up],
+                [tuple(sorted(js)) for js in down])
 
     @cached_property
     def _derived(self) -> dict:
@@ -179,15 +191,15 @@ class DualComplex:
         """Whether the incidence graph joins all cells; an empty complex is.  Kept on the
         complex."""
         if "connected" not in self._derived:
-            seen = {c.id for c in self.cells[:1]}
-            queue = list(seen)
+            _, up, down = self._graph
+            seen = [False] * len(self.cells)
+            queue = [0] if seen else []
             while queue:
                 here = queue.pop()
-                for nb in self.up[here] + self.down[here]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        queue.append(nb)
-            self._derived["connected"] = len(seen) == len(self.cells)
+                if not seen[here]:
+                    seen[here] = True
+                    queue += up[here] + down[here]
+            self._derived["connected"] = all(seen)
         return self._derived["connected"]
 
 
@@ -232,7 +244,6 @@ def build(n: int, N: int) -> DualComplex:
                                          % (st.format_stratum(plan.stratum(n, N, face)), cid))
                 incidence.add((fid, cid))
 
-    cells.sort(key=lambda c: c.id)
     return DualComplex(n, N, tuple(cells), frozenset(incidence))
 
 
@@ -547,11 +558,8 @@ def automorphisms(cx: DualComplex) -> Tuple[Dict[str, str], ...]:
     if group is not None:
         return group
     name = [c.id for c in cx.cells]
-    index = {cid: i for i, cid in enumerate(name)}
-    graph = ([c.dim for c in cx.cells], [[index[u] for u in cx.up[cid]] for cid in name],
-             [[index[d] for d in cx.down[cid]] for cid in name])
     identity = list(range(len(name)))
-    maps = sorted(polytope._isomorphisms(graph, graph), key=identity.__ne__)
+    maps = sorted(polytope._isomorphisms(cx._graph, cx._graph), key=identity.__ne__)
     found = [dict(zip(name, map(name.__getitem__, m))) for m in maps]
     cx._derived["automorphism orders"] = frozenset(map(_permutation_order, found))
     group = cx._derived["automorphisms"] = tuple(found)
@@ -617,23 +625,20 @@ def _tutte_layout(cx: DualComplex, seed: int) -> Dict[str, Tuple[float, float]]:
             "layout needs a verified combinatorial disk; the complex at "
             "(n, N) = (%d, %d) failed: %s" % (cx.n, cx.N, ", ".join(report.failures()))
         )
-    vids = sorted(c.id for c in cx.by_dim.get(0, ()))
-    index = {v: i for i, v in enumerate(vids)}
-    pz = [0j] * len(vids)
-    cycle = [index[v] for v in report.boundary_cycle]
+    dims, up, down = cx._graph
+    name = [c.id for c in cx.cells]
+    verts = [i for i, d in enumerate(dims) if d == 0]  # positions, so in id order
+    at = {name[i]: i for i in verts}
+    pz = [0j] * len(dims)
+    cycle = [at[v] for v in report.boundary_cycle]
     for i, j in enumerate(cycle):
         angle = 2.0 * math.pi * (i + seed) / len(cycle)
         pz[j] = complex(math.cos(angle), math.sin(angle))
-    neighbors: List[set] = [set() for _ in vids]
-    for e in cx.by_dim.get(1, ()):
-        a, b = (index[v] for v in cx.down[e.id])
-        neighbors[a].add(b)
-        neighbors[b].add(a)
     on_cycle = set(cycle)
     sweep = []
-    for i, nbrs in enumerate(neighbors):
+    for i in verts:
         if i not in on_cycle:
-            nbrs = sorted(nbrs)
+            nbrs = sorted({j for e in up[i] for j in down[e] if j != i})  # other edge ends
             # itemgetter of one index returns the item, not a 1-tuple
             get = itemgetter(*nbrs) if len(nbrs) > 1 else (lambda a, j=nbrs[0]: (a[j],))
             sweep.append((i, get, len(nbrs)))
@@ -647,12 +652,12 @@ def _tutte_layout(cx: DualComplex, seed: int) -> Dict[str, Tuple[float, float]]:
             pz[i] = nz
         if not moved:
             break
-    return {v: (z.real, z.imag) for v, z in zip(vids, pz)}
+    return {name[i]: (pz[i].real, pz[i].imag) for i in verts}
 
 
 def to_json_dict(cx: DualComplex) -> dict:
     cells = []
-    for c in sorted(cx.cells, key=lambda c: c.id):
+    for c in cx.cells:
         cells.append(
             {
                 "id": c.id,
@@ -695,7 +700,7 @@ def _export_json(cx: DualComplex) -> bytes:
     """
     blocks: Dict[tuple, str] = {}  # (dim, class, b, xs) -> _cell_block
     cells = []
-    for c in sorted(cx.cells, key=lambda c: c.id):
+    for c in cx.cells:
         key = (c.dim, c.cls, c.b, tuple(map(itemgetter(1), c.stratum.points)))
         block = blocks.get(key)
         if block is None:
@@ -719,7 +724,7 @@ def _export_dot(cx: DualComplex) -> bytes:
     for c in cx.by_dim.get(0, ()):
         lines.append('  "%s";' % c.id)
     for e in cx.by_dim.get(1, ()):
-        ends = sorted(cx.down[e.id])
+        ends = cx.down[e.id]
         if len(ends) == 2:
             lines.append('  "%s" -- "%s";' % (ends[0], ends[1]))
     lines.append("}")
@@ -736,9 +741,9 @@ def _corners(cx: DualComplex, t: str) -> Tuple[str, str, str]:
 
 def _export_off(cx: DualComplex, seed: int) -> bytes:
     pos = _layout(cx, seed)
-    vids = sorted(pos)
+    vids = list(pos)  # id order
     index = {v: i for i, v in enumerate(vids)}
-    tris = sorted(cx.by_dim.get(2, ()), key=lambda c: c.id)
+    tris = cx.by_dim.get(2, ())
     edges = cx.by_dim.get(1, ())
     lines = ["OFF", "%d %d %d" % (len(vids), len(tris), len(edges))]
     for v in vids:
@@ -751,14 +756,14 @@ def _export_off(cx: DualComplex, seed: int) -> bytes:
 def _export_tikz(cx: DualComplex, seed: int, labels: bool) -> bytes:
     pos = _layout(cx, seed)
     lines = ["\\begin{tikzpicture}[scale=4]"]
-    for e in sorted(cx.by_dim.get(1, ()), key=lambda c: c.id):
-        a, b = sorted(cx.down[e.id])
+    for e in cx.by_dim.get(1, ()):
+        a, b = cx.down[e.id]
         lines.append(
             "  \\draw (%.6f,%.6f) -- (%.6f,%.6f);"
             % (pos[a][0], pos[a][1], pos[b][0], pos[b][1])
         )
     if labels:
-        for v in sorted(pos):
+        for v in pos:
             lines.append(
                 "  \\node[font=\\tiny] at (%.6f,%.6f) {%s};"
                 % (pos[v][0], pos[v][1], v)
@@ -780,7 +785,7 @@ def export(cx: DualComplex, fmt: str, layout_seed: int = 0, labels: bool = False
     raise ValueError("unknown export format %r" % fmt)
 
 
-_LEVEL_RE = re.compile(r"@k=(-?\d+)$")
+_LEVEL_RE = re.compile(r"@k=(-?\d+)$", re.ASCII)
 
 
 def _field(obj, name: str, kind: type, where: str, *args):
@@ -882,5 +887,4 @@ def parse_complex(data) -> DualComplex:
         if not (isinstance(pair, list) and len(pair) == 2
                 and isinstance(pair[0], str) and isinstance(pair[1], str)):
             raise ValueError("incidence entry %r is not a pair of cell ids" % (pair,))
-    cells.sort(key=lambda c: c.id)
     return DualComplex(n, N, tuple(cells), frozenset(map(tuple, pairs)))

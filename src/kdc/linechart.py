@@ -250,8 +250,9 @@ def complete_extensions(chart: LineChart, require_admissible: bool = False) -> l
     return out
 
 
-_CHART_RE = re.compile(r"^LC\{\s*n=(\d+)\s*;((?:\s*\(\s*-?\d+\s*,\s*[+-]?\d+\s*\))+)\s*\}$")
-_PAIR_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*([+-]?\d+)\s*\)")
+_CHART_RE = re.compile(r"^LC\{\s*n=(\d+)\s*;((?:\s*\(\s*-?\d+\s*,\s*[+-]?\d+\s*\))+)\s*\}$",
+                       re.ASCII)
+_PAIR_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*([+-]?\d+)\s*\)", re.ASCII)
 
 
 def _literal_int(digits: str, kind: str, field: str) -> int:

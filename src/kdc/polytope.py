@@ -72,8 +72,9 @@ class FacePoset:
 
     @cached_property
     def _scan(self):
-        """(up, down, monotone): each face's covers in face order, and whether
-        every strict inclusion raises the dimension."""
+        """((dims, up, down), monotone): the cover graph over face positions, each
+        list ascending, as polytope._isomorphisms takes it, and whether every
+        strict inclusion raises the dimension."""
         faces, dims = self._faces, self._dims
         having: Dict[Hashable, int] = {}  # label -> bitset of the faces holding it
         of_dim: Dict[int, int] = {}  # dimension -> bitset of its faces
@@ -82,8 +83,7 @@ class FacePoset:
                 having[label] = having.get(label, 0) | 1 << i
             of_dim[dims[f]] = of_dim.get(dims[f], 0) | 1 << i
         at_most = {d: sum(v for e, v in of_dim.items() if e <= d) for d in of_dim}
-        up: Dict[Face, list] = {f: [] for f in faces}
-        down: Dict[Face, list] = {f: [] for f in faces}
+        up, down = [[] for _ in faces], [[] for _ in faces]
         monotone = True
         for i, f in enumerate(faces):
             above = reduce(and_, map(having.__getitem__, f)) & ~(1 << i)  # strict supersets
@@ -91,16 +91,16 @@ class FacePoset:
                 monotone = False
             covers = above & of_dim.get(dims[f] + 1, 0)
             while covers:
-                g = faces[(covers & -covers).bit_length() - 1]
-                up[f].append(g)
-                down[g].append(f)
+                j = (covers & -covers).bit_length() - 1
+                up[i].append(j)
+                down[j].append(i)
                 covers &= covers - 1
-        return up, down, monotone
+        return ([dims[f] for f in faces], up, down), monotone
 
     def covers(self) -> Tuple[Tuple[Face, Face], ...]:
         """All (lower, upper) pairs with inclusion and dimension gap one."""
-        up = self._scan[0]
-        return tuple((f, g) for f in self._faces for g in up[f])
+        faces, up = self._faces, self._scan[0][1]
+        return tuple((f, faces[j]) for f, js in zip(faces, up) for j in js)
 
     def is_graded(self) -> bool:
         """Operational grading check used before isomorphism testing.
@@ -109,10 +109,10 @@ class FacePoset:
         face needs a subface one dimension down, and every non-maximal
         face a superface one dimension up.
         """
-        up, down, monotone = self._scan
-        top, lo = self.dim, min(self._dims.values(), default=0)
+        (dims, up, down), monotone = self._scan
+        top, lo = self.dim, min(dims, default=0)
         return monotone and all(
-            (down[f] or d == lo) and (up[f] or d == top) for f, d in self._dims.items()
+            (below or d == lo) and (above or d == top) for d, above, below in zip(dims, up, down)
         )
 
 
@@ -303,12 +303,4 @@ def iso(p: FacePoset, q: FacePoset) -> bool:
     for name, r in (("p", p), ("q", q)):
         if not r.is_graded():
             raise ValueError(f"iso needs graded posets; {name} is not, f-vector {r.f_vector()}")
-    return bool(_isomorphisms(_cover_graph(p), _cover_graph(q), first=True))
-
-
-def _cover_graph(p: FacePoset):
-    """(dims, up, down) of p over face indices, for _isomorphisms."""
-    up, down, _ = p._scan
-    index = {f: i for i, f in enumerate(p.faces)}
-    return ([p._dims[f] for f in p.faces], [[index[g] for g in up[f]] for f in p.faces],
-            [[index[g] for g in down[f]] for f in p.faces])
+    return bool(_isomorphisms(p._scan[0], q._scan[0], first=True))

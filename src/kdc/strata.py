@@ -853,8 +853,9 @@ def enumerate_admissible(n: int, N: int) -> dict[int, tuple[Stratum, ...]]:
 
 # --- literals ---------------------------------------------------------------
 
-_STRATUM_RE = re.compile(r"^X\{\s*n=(\d+)\s*;\s*N=(\d+)\s*;\s*b=(\d+)\s*;\s*\[(.*)\]\s*\}$")
-_POINT_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*([+-]?\d+)\s*\)")
+_STRATUM_RE = re.compile(r"^X\{\s*n=(\d+)\s*;\s*N=(\d+)\s*;\s*b=(\d+)\s*;\s*\[(.*)\]\s*\}$",
+                         re.ASCII)
+_POINT_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*([+-]?\d+)\s*\)", re.ASCII)
 
 
 def parse_stratum(text: str) -> Stratum:

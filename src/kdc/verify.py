@@ -182,7 +182,7 @@ def _c06(max_n, max_N) -> str:
             covered.extend(rep.triangles)
             seen.add(key)
         _need(
-            sorted(covered) == sorted(t.id for t in cx.by_dim[2]),
+            sorted(covered) == [t.id for t in cx.by_dim[2]],
             "type-4 stars do not tile the N=%d complex" % N,
         )
     # corner stars exist from N=1, boundary stars from N=2, interior A

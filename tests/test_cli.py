@@ -164,6 +164,11 @@ def test_chart_rejects_garbage(capsys):
     rc, _, err = run(capsys, "chart", "not-a-chart")
     assert rc == 2
     assert "error:" in err
+    # digits other than ASCII ones (Arabic-Indic, fullwidth) are no number
+    literal = "LC{n=\u0663;(0,0)(\uff11,\uff11)}"
+    rc, out, err = run(capsys, "chart", literal)
+    assert (rc, out) == (2, "")
+    assert err == "error: malformed chart literal: %r\n" % literal
 
 
 def test_dual_json_round_trips(capsys):

@@ -1176,11 +1176,35 @@ def test_parse_requires_level_when_ambiguous():
         dc.parse_complex(data)
 
 
+def _closed_triangle(cx):
+    """The first triangle of cx with its edges and vertices, listed top-down: not id order."""
+    t = cx.by_dim[2][0]
+    edges = [cx.by_id[e] for e in cx.down[t.id]]
+    cells = (t, *edges, *{cx.by_id[v]: None for e in edges for v in cx.down[e.id]})
+    assert [c.id for c in cells] != sorted(c.id for c in cells)
+    ids = {c.id for c in cells}
+    return dc.DualComplex(cx.n, cx.N, cells,
+                          frozenset(pair for pair in cx.incidence if ids.issuperset(pair)))
+
+
 def test_up_and_down_follow_the_sorted_incidence():
-    cx = dc.build(4, 2)
-    pairs = sorted(cx.incidence)
-    assert cx.up == {c.id: tuple(hi for lo, hi in pairs if lo == c.id) for c in cx.cells}
-    assert cx.down == {c.id: tuple(lo for lo, hi in pairs if hi == c.id) for c in cx.cells}
+    for cx in dc.build(4, 2), _closed_triangle(dc.build(3, 2)):
+        assert [c.id for c in cx.cells] == sorted(c.id for c in cx.cells)
+        pairs = sorted(cx.incidence)
+        assert cx.up == {c.id: tuple(hi for lo, hi in pairs if lo == c.id) for c in cx.cells}
+        assert cx.down == {c.id: tuple(lo for lo, hi in pairs if hi == c.id) for c in cx.cells}
+
+
+@settings(max_examples=10, deadline=None)
+@given(hs.sampled_from([(3, 2), (4, 1)]), hs.data())
+def test_a_complex_keeps_its_cells_in_id_order(size, data):
+    cx = dc.build(*size)
+    shuffled = dc.DualComplex(*size, tuple(data.draw(hs.permutations(cx.cells))), cx.incidence)
+    assert shuffled == cx and shuffled.cells == cx.cells
+    assert [c.id for c in shuffled.cells] == sorted(c.id for c in cx.cells)
+    assert (shuffled.up, shuffled.down) == (cx.up, cx.down)
+    assert dc.automorphisms(shuffled) == dc.automorphisms(cx)
+    assert dc.export(shuffled, "json") == dc.export(cx, "json")
 
 
 def _cell_fields(cx):

@@ -252,9 +252,13 @@ def test_bitset_scan_matches_the_pairwise_scan():
         len(st.valid_levels(s)) for N in (1, 2) for s in st.iter_strata(4, N, b=4, admissible_only=True))
     for p in posets:
         up, down, monotone = pairwise_scan(p)
-        assert p._scan == (up, down, monotone)
+        at = {f: i for i, f in enumerate(p.faces)}  # the reference over face positions
+        graph = ([p.dim_of(f) for f in p.faces], [[at[g] for g in up[f]] for f in p.faces],
+                 [[at[g] for g in down[f]] for f in p.faces])
+        assert p._scan == (graph, monotone)
         assert p.is_graded() == reference_is_graded(p)
-    assert not hand._scan[2] and hand._scan[0][frozenset({1})] == [frozenset({1, 3})]
+    at = hand.faces.index
+    assert not hand._scan[1] and hand._scan[0][1][at(frozenset({1}))] == [at(frozenset({1, 3}))]
 
 
 def test_iso_needs_graded():

@@ -113,6 +113,8 @@ def test_parse_format_round_trip():
         assert st.parse_stratum(st.format_stratum(s)) == s
     with pytest.raises(ValueError):
         st.parse_stratum("X{n=3;N=1;b=0;[junk]}")
+    with pytest.raises(ValueError, match="not a stratum literal"):  # an Arabic-Indic 3
+        st.parse_stratum("X{n=\u0663;N=1;b=0;[(0,0),(0,0),(0,0)]}")
 
 
 @pytest.mark.parametrize("field, template", [
