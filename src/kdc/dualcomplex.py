@@ -17,6 +17,7 @@ import json
 import math
 import operator
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -154,8 +155,15 @@ class DualComplex:
 
     def _named(self, sides: List[Tuple[int, ...]]) -> Dict[str, Tuple[str, ...]]:
         """One side of _graph keyed and listed by cell id."""
-        name = [c.id for c in self.cells]
-        return {cid: tuple(map(name.__getitem__, js)) for cid, js in zip(name, sides)}
+        return {c.id: self._ids(js) for c, js in zip(self.cells, sides)}
+
+    def _ids(self, positions) -> Tuple[str, ...]:
+        """The ids of the cells at these positions."""
+        return tuple(self.cells[i].id for i in positions)
+
+    def _position(self, cid: str) -> int:
+        """The position of the cell with id cid, which must be one of the complex's."""
+        return bisect_left(self.cells, cid, key=attrgetter("id"))
 
     @cached_property
     def _graph(self) -> Tuple[List[int], List[Tuple[int, ...]], List[Tuple[int, ...]]]:
@@ -203,7 +211,7 @@ class DualComplex:
         return self._derived["connected"]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 3.0 is refused, not read as 3
 def build(n: int, N: int) -> DualComplex:
     """Assemble the dual complex of all admissible cells at (n, N).
 
@@ -212,6 +220,7 @@ def build(n: int, N: int) -> DualComplex:
     template with the cell's residues, and the group's face plans find each
     codim-1 face by its residues in the index of the face's group.
     """
+    n, N = st._indices((n, N), "n and N")
     if n < 2:
         raise ValueError("need n >= 2, got n=%d" % n)
     if N < 1:
@@ -331,16 +340,16 @@ def local_chart(v: st.Stratum) -> StarReport:
     if not cells:
         raise InvariantError("vertex missing from its own complex")
     center = cells[0]  # n = 3 strata span one cell each
-    tris = sorted({t for e in cx.up[center.id] for t in cx.up[e]})
-    edges = sorted({e for t in tris for e in cx.down[t]})
-    vertices = sorted({u for e in edges for u in cx.down[e]})
-    boundary = tuple(e for e in edges if len(cx.up[e]) == 1)
+    _, up, down = cx._graph
+    tris = sorted({t for e in up[cx._position(center.id)] for t in up[e]})
+    edges = sorted({e for t in tris for e in down[t]})
+    vertices = sorted({u for e in edges for u in down[e]})
     return StarReport(
         center=center,
-        triangles=tuple(tris),
-        edges=tuple(edges),
-        vertices=tuple(vertices),
-        boundary_edges=boundary,
+        triangles=cx._ids(tris),
+        edges=cx._ids(edges),
+        vertices=cx._ids(vertices),
+        boundary_edges=cx._ids(e for e in edges if len(up[e]) == 1),
         distinct_taus=len({p.tau for p in v.points}),
     )
 
@@ -405,7 +414,7 @@ def verify_disk(cx: DualComplex) -> DiskReport:
     return cx._derived["disk"]
 
 
-def _walk(adj: Dict[str, List[str]]) -> Optional[Tuple[str, ...]]:
+def _walk(adj: dict) -> Optional[tuple]:
     """The nodes of a nonempty graph in order along its one path or cycle, else None.
 
     A path starts at its least end.  A cycle starts at its least node,
@@ -426,11 +435,11 @@ def _walk(adj: Dict[str, List[str]]) -> Optional[Tuple[str, ...]]:
     return tuple(walk) if len(walk) == len(adj) else None
 
 
-def _link_ok(cx: DualComplex, v: str) -> bool:
-    """Whether the link of v, its edges joined by its triangles, is one path or cycle."""
-    link: Dict[str, List[str]] = {e: [] for e in cx.up[v]}
-    for t in {t for e in link for t in cx.up[e]}:
-        through = [e for e in cx.down[t] if e in link]
+def _link_ok(up: List[Tuple[int, ...]], down: List[Tuple[int, ...]], v: int) -> bool:
+    """Whether the link of vertex v, its edges joined by its triangles, is one path or cycle."""
+    link: Dict[int, List[int]] = {e: [] for e in up[v]}
+    for t in {t for e in link for t in up[e]}:
+        through = [e for e in down[t] if e in link]
         if len(through) != 2:
             return False
         a, b = through
@@ -440,15 +449,16 @@ def _link_ok(cx: DualComplex, v: str) -> bool:
 
 
 def _check_disk(cx: DualComplex) -> DiskReport:
-    vertices = [c.id for c in cx.by_dim.get(0, ())]
-    edges = [c.id for c in cx.by_dim.get(1, ())]
+    dims, up, down = cx._graph
+    vertices = [i for i, d in enumerate(dims) if d == 0]
+    edges = [i for i, d in enumerate(dims) if d == 1]
 
     # a disk has a nonempty boundary: the edges in one triangle, each
     # with two ends, forming one cycle through vertices of degree 2
-    ends = [cx.down[e] for e in edges if len(cx.up[e]) == 1]
+    ends = [down[e] for e in edges if len(up[e]) == 1]
     cycle = None
     if ends and all(len(pair) == 2 for pair in ends):
-        boundary: Dict[str, List[str]] = {}
+        boundary: Dict[int, List[int]] = {}
         for a, b in ends:
             boundary.setdefault(a, []).append(b)
             boundary.setdefault(b, []).append(a)
@@ -457,12 +467,12 @@ def _check_disk(cx: DualComplex) -> DiskReport:
 
     return DiskReport(
         connected=cx.is_connected(),
-        pure=all(cx.up[c] for c in edges + vertices),
-        edge_degrees_ok=all(len(cx.up[e]) in (1, 2) for e in edges),
-        vertex_links_ok=all(_link_ok(cx, v) for v in vertices),
+        pure=all(up[c] for c in edges + vertices),
+        edge_degrees_ok=all(len(up[e]) in (1, 2) for e in edges),
+        vertex_links_ok=all(_link_ok(up, down, v) for v in vertices),
         boundary_ok=cycle is not None,
         euler=cx.euler_characteristic(),
-        boundary_cycle=cycle or (),
+        boundary_cycle=cx._ids(cycle or ()),
     )
 
 
@@ -626,11 +636,9 @@ def _tutte_layout(cx: DualComplex, seed: int) -> Dict[str, Tuple[float, float]]:
             "(n, N) = (%d, %d) failed: %s" % (cx.n, cx.N, ", ".join(report.failures()))
         )
     dims, up, down = cx._graph
-    name = [c.id for c in cx.cells]
     verts = [i for i, d in enumerate(dims) if d == 0]  # positions, so in id order
-    at = {name[i]: i for i in verts}
     pz = [0j] * len(dims)
-    cycle = [at[v] for v in report.boundary_cycle]
+    cycle = list(map(cx._position, report.boundary_cycle))
     for i, j in enumerate(cycle):
         angle = 2.0 * math.pi * (i + seed) / len(cycle)
         pz[j] = complex(math.cos(angle), math.sin(angle))
@@ -652,7 +660,7 @@ def _tutte_layout(cx: DualComplex, seed: int) -> Dict[str, Tuple[float, float]]:
             pz[i] = nz
         if not moved:
             break
-    return {name[i]: (pz[i].real, pz[i].imag) for i in verts}
+    return dict(zip(cx._ids(verts), [(pz[i].real, pz[i].imag) for i in verts]))
 
 
 def to_json_dict(cx: DualComplex) -> dict:
@@ -720,54 +728,47 @@ def _export_json(cx: DualComplex) -> bytes:
 
 
 def _export_dot(cx: DualComplex) -> bytes:
+    dims, _, down = cx._graph
     lines = ["graph dual_complex {", "  node [shape=point];"]
-    for c in cx.by_dim.get(0, ()):
-        lines.append('  "%s";' % c.id)
-    for e in cx.by_dim.get(1, ()):
-        ends = cx.down[e.id]
-        if len(ends) == 2:
-            lines.append('  "%s" -- "%s";' % (ends[0], ends[1]))
+    lines += ['  "%s";' % c.id for c, d in zip(cx.cells, dims) if d == 0]
+    for e, d in enumerate(dims):
+        if d == 1 and len(down[e]) == 2:
+            lines.append('  "%s" -- "%s";' % cx._ids(down[e]))
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _corners(cx: DualComplex, t: str) -> Tuple[str, str, str]:
-    """The sorted vertices of triangle t, which must be three."""
-    vs = sorted({v for e in cx.down[t] for v in cx.down[e]})
+def _corners(cx: DualComplex, t: int) -> Tuple[int, int, int]:
+    """The sorted vertex positions of the triangle at position t, which must be three."""
+    down = cx._graph[2]
+    vs = sorted({v for e in down[t] for v in down[e]})
     if len(vs) != 3:
-        raise ValueError("triangle %s is not on three vertices" % t)
+        raise ValueError("triangle %s is not on three vertices" % cx.cells[t].id)
     return tuple(vs)
 
 
 def _export_off(cx: DualComplex, seed: int) -> bytes:
     pos = _layout(cx, seed)
-    vids = list(pos)  # id order
-    index = {v: i for i, v in enumerate(vids)}
-    tris = cx.by_dim.get(2, ())
-    edges = cx.by_dim.get(1, ())
-    lines = ["OFF", "%d %d %d" % (len(vids), len(tris), len(edges))]
-    for v in vids:
-        lines.append("%.9f %.9f 0" % pos[v])
-    for t in tris:
-        lines.append("3 %d %d %d" % tuple(index[v] for v in _corners(cx, t.id)))
+    dims = cx._graph[0]
+    verts = [i for i, d in enumerate(dims) if d == 0]  # positions, in pos's order
+    lines = ["OFF", "%d %d %d" % (len(verts), dims.count(2), dims.count(1))]
+    lines += ["%.9f %.9f 0" % p for p in pos.values()]
+    lines += ["3 %d %d %d" % tuple(bisect_left(verts, v) for v in _corners(cx, t))
+              for t, d in enumerate(dims) if d == 2]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def _export_tikz(cx: DualComplex, seed: int, labels: bool) -> bytes:
     pos = _layout(cx, seed)
+    dims, _, down = cx._graph
     lines = ["\\begin{tikzpicture}[scale=4]"]
-    for e in cx.by_dim.get(1, ()):
-        a, b = cx.down[e.id]
-        lines.append(
-            "  \\draw (%.6f,%.6f) -- (%.6f,%.6f);"
-            % (pos[a][0], pos[a][1], pos[b][0], pos[b][1])
-        )
+    for e, d in enumerate(dims):
+        if d == 1:
+            a, b = cx._ids(down[e])
+            lines.append("  \\draw (%.6f,%.6f) -- (%.6f,%.6f);" % (pos[a] + pos[b]))
     if labels:
-        for v in pos:
-            lines.append(
-                "  \\node[font=\\tiny] at (%.6f,%.6f) {%s};"
-                % (pos[v][0], pos[v][1], v)
-            )
+        for v, (x, y) in pos.items():
+            lines.append("  \\node[font=\\tiny] at (%.6f,%.6f) {%s};" % (x, y, v))
     lines.append("\\end{tikzpicture}")
     return ("\n".join(lines) + "\n").encode("ascii")
 

@@ -797,6 +797,7 @@ def iter_strata(
     the itertools.product of the residue multisets of the chart's classes,
     taken top level first and positives first within a level.
     """
+    n, N = _indices((n, N), "n and N")
     if n < 1 or N < 1:
         raise ValueError(f"need n >= 1 and N >= 1, got (n, N) = ({n}, {N})")
     if b is not None and not 0 <= b <= n:
@@ -841,6 +842,7 @@ def _admissible_flat(n: int, N: int) -> tuple[Stratum, ...]:
 
 def enumerate_admissible(n: int, N: int) -> dict[int, tuple[Stratum, ...]]:
     """Canonical admissible strata grouped by cell dimension, top first."""
+    n, N = _indices((n, N), "n and N")
     if n < 2:
         raise ValueError(f"n must be >= 2, got n={n}")
     if N < 1:

@@ -568,7 +568,7 @@ T, T2 = "X{n=3;N=1;b=3;[(0,+1),(0,+2),(0,+3)]}", "X{n=3;N=1;b=3;[(0,+1),(0,+2),(
 
 def _vertex_on_a_far_triangle(cx):
     """One incidence straight from a vertex to a triangle it is no corner of."""
-    assert V in cx.by_id and V not in dc._corners(cx, T)
+    assert V in cx.by_id and cx._position(V) not in dc._corners(cx, cx._position(T))
     return cx.cells, cx.incidence | {(V, T)}
 
 
@@ -766,6 +766,10 @@ def test_automorphisms_are_kept_on_the_complex():
     (lambda: st.enumerate_admissible(3, 0), "N must be >= 1, got N=0"),
     (lambda: next(st.iter_strata(0, 2)), "need n >= 1 and N >= 1, got (n, N) = (0, 2)"),
     (lambda: next(st.iter_strata(2, 0)), "need n >= 1 and N >= 1, got (n, N) = (2, 0)"),
+    (lambda: (dc.build(3, 2), dc.build(3.0, 2)), "n and N must be integers, got 3.0"),
+    (lambda: (dc.build(3, True), st.enumerate_admissible(3.0, 1)),
+     "n and N must be integers, got 3.0"),
+    (lambda: next(st.iter_strata(2, 1.5)), "n and N must be integers, got 1.5"),
     (lambda: st.Stratum(3, 0, 0, [(0, 0)] * 3), "N must be >= 1, got N=0"),
     (lambda: st.Stratum(0, 1, 0, []), "n must be >= 1, got n=0"),
     (lambda: st.Stratum(3.9, 1.5, 0.7, [(0, 0)] * 3), "n, N and b must be integers, got 3.9"),
@@ -799,7 +803,8 @@ def test_automorphisms_are_kept_on_the_complex():
     (lambda: pt.slice_lattice(1, 1, -1), "n_zero must be nonnegative, got n_zero=-1"),
     (lambda: lc.enumerate_complete_admissible(0), "n must be at least 1, got n=0"),
 ], ids=["build-n", "build-N", "enumerate_admissible-n", "enumerate_admissible-N",
-        "iter_strata-n", "iter_strata-N", "Stratum-N", "Stratum-n", "Stratum-float",
+        "iter_strata-n", "iter_strata-N", "build-float-after-int", "enumerate_admissible-float",
+        "iter_strata-float", "Stratum-N", "Stratum-n", "Stratum-float",
         "Stratum-string", "has_automorphism", "has_automorphism-bool", "has_automorphism-float",
         "has_automorphism-integral-float", "has_automorphism-string",
         "local_chart", "type4_vertices", "grow_rows", "a", "ballot", "m_k", "m_profile",
@@ -1205,6 +1210,26 @@ def test_a_complex_keeps_its_cells_in_id_order(size, data):
     assert (shuffled.up, shuffled.down) == (cx.up, cx.down)
     assert dc.automorphisms(shuffled) == dc.automorphisms(cx)
     assert dc.export(shuffled, "json") == dc.export(cx, "json")
+    if cx.n == 3:
+        assert dc.verify_disk(shuffled) == dc.verify_disk(cx)
+        for fmt in ("dot", "off", "tikz"):
+            assert dc.export(shuffled, fmt, layout_seed=3) == dc.export(cx, fmt, layout_seed=3)
+
+
+def test_sizes_read_as_ints_whatever_is_cached():
+    assert dc.build(3, True) == dc.build(3, 1)
+    assert st.enumerate_admissible(3, True) == st.enumerate_admissible(3, 1)
+    assert list(st.iter_strata(True, 2)) == list(st.iter_strata(1, 2))
+
+
+def test_the_n3_read_path_leaves_the_string_views_unbuilt():
+    cx = dc.build(3, 4)
+    fresh = dc.DualComplex(3, 4, cx.cells, cx.incidence)
+    assert dc.verify_disk(fresh).ok
+    for fmt in ("json", "dot", "off", "tikz"):
+        dc.export(fresh, fmt, labels=True)
+    dc.automorphisms(fresh)
+    assert not {"up", "down", "by_id"} & set(vars(fresh))
 
 
 def _cell_fields(cx):

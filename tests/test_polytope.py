@@ -332,3 +332,12 @@ def test_polytope_imports_no_kdc_module():
             imported.add("." * node.level + (node.module or ""))
     assert imported and not {name for name in imported
                              if name.startswith(".") or name.split(".")[0] == "kdc"}
+
+
+def test_dualcomplex_reads_the_cover_graph_not_its_id_views():
+    """Inside the module the cover relation is read off _graph; up, down and by_id are
+    id-keyed views for callers outside it, so no line of it reads them."""
+    tree = ast.parse(Path(dc.__file__).read_text())
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in {"up", "down", "by_id"}]
+    assert not reads
