@@ -211,20 +211,25 @@ class DualComplex:
         return self._derived["connected"]
 
 
-@functools.lru_cache(maxsize=None, typed=True)  # typed: 3.0 is refused, not read as 3
 def build(n: int, N: int) -> DualComplex:
-    """Assemble the dual complex of all admissible cells at (n, N).
+    """Assemble the dual complex of all admissible cells at (n, N), kept per (n, N)."""
+    n, N = st._indices((n, N), "n and N")
+    if n < 2:
+        raise ValueError("need n >= 2, got n=%d" % n)
+    if N < 1:
+        raise ValueError("need N >= 1, got N=%d" % N)
+    return _build(n, N)
+
+
+@functools.lru_cache(maxsize=None)
+def _build(n: int, N: int) -> DualComplex:
+    """build(n, N) for checked ints, reading the strata in enumeration order.
 
     The cells of one chart and level form a group: its first stratum gives
     the kind of all of them (_cell_kind), each id fills the group's
     template with the cell's residues, and the group's face plans find each
     codim-1 face by its residues in the index of the face's group.
     """
-    n, N = st._indices((n, N), "n and N")
-    if n < 2:
-        raise ValueError("need n >= 2, got n=%d" % n)
-    if N < 1:
-        raise ValueError("need N >= 1, got N=%d" % N)
     groups: Dict[tuple, List[st.Stratum]] = {}
     for s in st._admissible_flat(n, N):
         for k in st.valid_levels(s):

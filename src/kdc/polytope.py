@@ -16,13 +16,10 @@ from typing import Dict, FrozenSet, Hashable, Mapping, Tuple
 Face = FrozenSet[Hashable]
 
 
-def _face_key(face: Face) -> Tuple:
-    return (len(face), sorted(repr(x) for x in face))
-
-
 class FacePoset:
-    """Finite graded poset of faces ordered by inclusion of supports; covers(),
-    is_graded() and iso all read one cached bitset scan of it, _scan."""
+    """Finite graded poset of faces ordered by inclusion of supports, the faces
+    in the order of the mapping given; covers(), is_graded() and iso all read
+    one cached bitset scan of it, _scan."""
 
     def __init__(self, dims: Mapping[Face, int]):
         self._dims: Dict[Face, int] = {}
@@ -31,7 +28,7 @@ class FacePoset:
             if not face:
                 raise ValueError("the empty face is implicit, do not list it")
             self._dims[face] = int(d)
-        self._faces: Tuple[Face, ...] = tuple(sorted(self._dims, key=_face_key))
+        self._faces: Tuple[Face, ...] = tuple(self._dims)
 
     @property
     def faces(self) -> Tuple[Face, ...]:
@@ -143,17 +140,8 @@ def product(p: FacePoset, q: FacePoset) -> FacePoset:
     return FacePoset(dims)
 
 
-def _next_apex_index(dims: Mapping[Face, int]) -> int:
-    used = set()
-    for face in dims:
-        for lab in face:
-            if isinstance(lab, tuple) and len(lab) == 2 and lab[0] == "apex":
-                used.add(lab[1])
-    return max(used) + 1 if used else 0
-
-
 def cone(p: FacePoset, times: int = 1) -> FacePoset:
-    """Iterated cone; each round joins one fresh apex to every face.
+    """Iterated cone; each round joins one fresh apex, a new object(), to every face.
 
     The implicit empty face gives the apex itself, so coning the empty
     lattice m times produces the (m-1)-simplex.
@@ -161,9 +149,8 @@ def cone(p: FacePoset, times: int = 1) -> FacePoset:
     if times < 0:
         raise ValueError(f"cannot cone a negative number of times, got times={times}")
     dims = {f: p.dim_of(f) for f in p.faces}
-    start = _next_apex_index(dims)
-    for t in range(times):
-        apex = ("apex", start + t)
+    for _ in range(times):
+        apex = object()
         joined = {frozenset({apex}): 0}
         for f, d in dims.items():
             joined[f | {apex}] = d + 1

@@ -797,7 +797,10 @@ def iter_strata(
     the itertools.product of the residue multisets of the chart's classes,
     taken top level first and positives first within a level.
     """
-    n, N = _indices((n, N), "n and N")
+    if b is None:
+        n, N = _indices((n, N), "n and N")
+    else:
+        n, N, b = _indices((n, N, b), "n, N and b")
     if n < 1 or N < 1:
         raise ValueError(f"need n >= 1 and N >= 1, got (n, N) = ({n}, {N})")
     if b is not None and not 0 <= b <= n:
@@ -837,7 +840,7 @@ def iter_strata(
 
 @functools.lru_cache(maxsize=None)
 def _admissible_flat(n: int, N: int) -> tuple[Stratum, ...]:
-    return tuple(sorted(iter_strata(n, N, admissible_only=True), key=canonical_key))
+    return tuple(iter_strata(n, N, admissible_only=True))
 
 
 def enumerate_admissible(n: int, N: int) -> dict[int, tuple[Stratum, ...]]:
@@ -848,7 +851,7 @@ def enumerate_admissible(n: int, N: int) -> dict[int, tuple[Stratum, ...]]:
     if N < 1:
         raise ValueError(f"N must be >= 1, got N={N}")
     groups: dict[int, list[Stratum]] = {}
-    for s in _admissible_flat(n, N):
+    for s in sorted(_admissible_flat(n, N), key=canonical_key):
         groups.setdefault(cell_dimension(s), []).append(s)
     return {d: tuple(groups[d]) for d in sorted(groups, reverse=True)}
 

@@ -5,11 +5,15 @@ pass/fail line per criterion; the detail string is printed for the
 record.  A final check keeps the whole battery inside its time budget.
 """
 
+import itertools
 import os
 import platform
+import re
+import time
 
 import pytest
 
+from kdc import linechart as lc
 from kdc import verify
 
 _DURATIONS = {}
@@ -61,3 +65,28 @@ def test_narrowed_ranges_still_pass():
     for max_N in (1, 2, 3):
         result = verify.run_criterion(6, max_N=max_N)
         assert result.passed, result.detail
+
+
+def _slow_enumeration(monkeypatch, slow):
+    """Make the calls numbered in slow (from 0) of criterion 1's enumeration sleep 2 ms."""
+    real, calls = lc.enumerate_complete_admissible, itertools.count()
+
+    def enumerate_complete_admissible(n):
+        if next(calls) in slow:
+            time.sleep(0.002)
+        return real(n)
+
+    monkeypatch.setattr(lc, "enumerate_complete_admissible", enumerate_complete_admissible)
+
+
+def test_c01_fails_when_every_call_is_over_budget(monkeypatch):
+    _slow_enumeration(monkeypatch, range(5))
+    result = verify.run_criterion(1)
+    assert not result.passed
+    assert re.fullmatch(r"enumeration took [0-9.]+s, budget is 1ms", result.detail)
+
+
+def test_c01_judges_the_fastest_of_five_calls(monkeypatch):
+    _slow_enumeration(monkeypatch, {0})
+    result = verify.run_criterion(1)
+    assert result.passed, result.detail

@@ -101,7 +101,7 @@ def test_incidence_is_covering():
     (7, "5422fb24ee4e974c1068bdd87ba24aa259d66d02781c9bb3d901e7b673a41b4a", 9569166),
 ])
 def test_single_residue_builds_keep_their_export(n, digest, size):
-    blob = dc.export(dc.build.__wrapped__(n, 1), "json")
+    blob = dc.export(dc._build.__wrapped__(n, 1), "json")
     assert (hashlib.sha256(blob).hexdigest(), len(blob)) == (digest, size)
 
 
@@ -770,6 +770,9 @@ def test_automorphisms_are_kept_on_the_complex():
     (lambda: (dc.build(3, True), st.enumerate_admissible(3.0, 1)),
      "n and N must be integers, got 3.0"),
     (lambda: next(st.iter_strata(2, 1.5)), "n and N must be integers, got 1.5"),
+    (lambda: next(st.iter_strata(3, 2, b=1.0)), "n, N and b must be integers, got 1.0"),
+    (lambda: next(st.iter_strata(3, 2, b="1")), "n, N and b must be integers, got '1'"),
+    (lambda: dc.build([3], 2), "n and N must be integers, got [3]"),
     (lambda: st.Stratum(3, 0, 0, [(0, 0)] * 3), "N must be >= 1, got N=0"),
     (lambda: st.Stratum(0, 1, 0, []), "n must be >= 1, got n=0"),
     (lambda: st.Stratum(3.9, 1.5, 0.7, [(0, 0)] * 3), "n, N and b must be integers, got 3.9"),
@@ -804,7 +807,8 @@ def test_automorphisms_are_kept_on_the_complex():
     (lambda: lc.enumerate_complete_admissible(0), "n must be at least 1, got n=0"),
 ], ids=["build-n", "build-N", "enumerate_admissible-n", "enumerate_admissible-N",
         "iter_strata-n", "iter_strata-N", "build-float-after-int", "enumerate_admissible-float",
-        "iter_strata-float", "Stratum-N", "Stratum-n", "Stratum-float",
+        "iter_strata-float", "iter_strata-float-b", "iter_strata-string-b", "build-list",
+        "Stratum-N", "Stratum-n", "Stratum-float",
         "Stratum-string", "has_automorphism", "has_automorphism-bool", "has_automorphism-float",
         "has_automorphism-integral-float", "has_automorphism-string",
         "local_chart", "type4_vertices", "grow_rows", "a", "ballot", "m_k", "m_profile",
@@ -834,7 +838,7 @@ def test_build_names_a_face_missing_from_enumeration(monkeypatch):
     kept = tuple(s for s in st._admissible_flat(3, 1) if s != victim.stratum)
     monkeypatch.setattr(st, "_admissible_flat", lambda n, N: kept)
     with pytest.raises(InvariantError) as err:
-        dc.build.__wrapped__(3, 1)
+        dc._build.__wrapped__(3, 1)
     prefix = "face %s missing from enumeration, a face of " % victim.id
     assert str(err.value).startswith(prefix)
     assert str(err.value)[len(prefix):] in cx.up[victim.id]
@@ -854,7 +858,7 @@ def test_build_invariant_names_the_first_cell_of_its_group(monkeypatch):
     cell = dc.build(3, 1).by_stratum[first][0]
     monkeypatch.setattr(st, "cell_dimension", lambda s: 7)
     with pytest.raises(InvariantError) as err:
-        dc.build.__wrapped__(3, 1)
+        dc._build.__wrapped__(3, 1)
     assert str(err.value) == "cell dimension 7 does not match lattice shape %r of %s" % (
         cell.lattice_shape, st.format_stratum(first))
 
@@ -1214,6 +1218,21 @@ def test_a_complex_keeps_its_cells_in_id_order(size, data):
         assert dc.verify_disk(shuffled) == dc.verify_disk(cx)
         for fmt in ("dot", "off", "tikz"):
             assert dc.export(shuffled, fmt, layout_seed=3) == dc.export(cx, fmt, layout_seed=3)
+
+
+@settings(max_examples=10, deadline=None)
+@given(hs.sampled_from([(3, 3), (4, 2), (5, 1)]), hs.data())
+@example((3, 3), None)
+@example((4, 2), None)
+@example((5, 1), None)
+def test_build_does_not_depend_on_the_order_of_its_strata(size, data):
+    flat = st._admissible_flat(*size)
+    order = flat[::-1] if data is None else tuple(data.draw(hs.permutations(flat)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(st, "_admissible_flat", lambda n, N: order)
+        cx = dc._build.__wrapped__(*size)
+    assert cx == dc.build(*size)
+    assert dc.export(cx, "json") == dc.export(dc.build(*size), "json")
 
 
 def test_sizes_read_as_ints_whatever_is_cached():

@@ -64,6 +64,12 @@ def test_iterated_cone_uses_fresh_apexes():
     assert pt.iso(twice, pt.cone(pt.simplex(0), times=2))
 
 
+def test_faces_keep_their_order_and_cones_a_fresh_apex():
+    dims = {frozenset({"b", ("apex", 0)}): 1, frozenset({("apex", 0)}): 0, frozenset({"b"}): 0}
+    assert pt.FacePoset(dims).faces == tuple(dims)
+    assert pt.cone(pt.FacePoset(dims)).f_vector() == (3, 3, 1)
+
+
 def test_slice_small_cases():
     assert pt.slice_lattice(1, 1, 0).f_vector() == (1,)
     assert pt.slice_lattice(1, 1, 1).f_vector() == (2, 1)
