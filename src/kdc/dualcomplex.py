@@ -18,7 +18,6 @@ import math
 import operator
 import re
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
@@ -95,7 +94,7 @@ def _cell_level(s: st.Stratum, levels: Tuple[int, ...], k: Optional[int]) -> int
             raise ValueError("%s is inadmissible" % name)
         if k is None:
             raise ValueError("neutral level of %s is ambiguous, name one of %r" % (name, levels))
-        raise ValueError("k=%d is not a valid neutral level of %s" % (k, name))
+        raise ValueError("k=%r is not a valid neutral level of %s" % (k, name))
     return k
 
 
@@ -114,7 +113,7 @@ class DualComplex:
         dims = {c.id: c.dim for c in self.cells}
         if len(dims) != len(self.cells):
             raise ValueError("cell %r is listed twice" % next(
-                cid for cid, times in Counter(c.id for c in self.cells).items() if times > 1))
+                a.id for a, b in zip(self.cells, self.cells[1:]) if a.id == b.id))
         bad = [(lo, hi) for lo, hi in self.incidence
                if lo not in dims or hi not in dims or dims[hi] - dims[lo] != 1]
         if bad:

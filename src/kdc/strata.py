@@ -9,12 +9,13 @@ goes through the occupancy m and the weighted sums W_plus and W_minus,
 which must cancel mod 2*N*sum(r) for some expansion tuple r of positive
 integers.  The four weight oracles take m as one OccupancyVector, whose
 own N and b fix the sums.  Both routes live here; the test suite checks
-they agree.  The weight route decides existence from the coefficients of
-the weight in r; find_admissible_r with a bound instead runs an
-exhaustive bitset scan over every tuple up to that total, which returns
-a witness of the smallest total (the order among tuples of equal total
-is unspecified).  Both answers are remembered per coefficient class, so
-each class is scanned once.
+they agree.  The weight route decides existence from the coefficients A
+of the weight in r: it admits exactly when a multiple of 2N lies strictly
+between min(A) and max(A), or equals every A_i.  find_admissible_r with a
+bound instead runs an exhaustive bitset scan over every tuple up to that
+total, which returns a witness of the smallest total (the order among
+tuples of equal total is unspecified).  Both answers are remembered per
+coefficient class, so each class is scanned once.
 """
 
 from __future__ import annotations
@@ -462,11 +463,12 @@ def specializations(s: Stratum) -> list[Stratum]:
 
 def _indices(values, what: str) -> tuple[int, ...]:
     """The values as ints by operator.index; a non-integer is refused as one of what."""
-    values = tuple(values)
     try:
+        values = tuple(values)
         return tuple(map(operator.index, values))
-    except TypeError:
-        bad = next(v for v in values if not hasattr(v, "__index__"))
+    except TypeError:  # values is still the input itself when it is not iterable
+        bad = values if not isinstance(values, tuple) else next(
+            v for v in values if not hasattr(v, "__index__"))
         raise ValueError(f"{what} must be integers, got {bad!r}") from None
 
 
@@ -705,21 +707,21 @@ def _scan_witness(coeff, shifts, masks, m: int, x: int) -> tuple[int, ...]:
 
 
 def _cancelling_shift(N: int, s2: int, coeff: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """First A - 2Nt, over t, that is all zero or takes both signs.
+    """A - 2Nt for the one t that can work, if it is all zero or takes both signs.
 
     A_i = s2 + coeff_i is the coefficient of r_i in W_plus + W_minus, so
     the congruence mod 2N*rsum asks for an integer t with
     sum((A_i - 2Nt) r_i) == 0 over positive r_i.  That has a solution iff
-    the shifted coefficients are all zero or take both signs, and only t
-    between min(A)/2N and max(A)/2N can work, so the scan is finite.
+    the shifted coefficients are all zero or take both signs, that is iff
+    2Nt lies strictly between min(A) and max(A) or equals every A_i; the
+    only candidate is the least t with 2Nt > min(A), or min(A) // 2N when
+    all A_i are equal.
     """
     A = [s2 + c for c in coeff]
-    step = 2 * N
-    for t in range(-((-min(A)) // step), max(A) // step + 1):
-        shifted = tuple(a - step * t for a in A)
-        if all(v == 0 for v in shifted) or min(shifted) < 0 < max(shifted):
-            return shifted
-    return None
+    lo, hi = min(A), max(A)
+    t = lo // (2 * N) + (lo < hi)
+    shifted = tuple(a - 2 * N * t for a in A)
+    return shifted if min(shifted) < 0 < max(shifted) or not any(shifted) else None
 
 
 def r_exists(m: OccupancyVector) -> bool:
@@ -738,29 +740,21 @@ def find_admissible_r(m: OccupancyVector, bound: Optional[int] = None) -> Option
     tuples with that total it returns is unspecified.  Either witness is
     verified through W_plus and W_minus before being returned.
     """
+    try:
+        bound = None if bound is None else operator.index(bound)
+    except TypeError:
+        raise ValueError(f"bound must be an integer, got {bound!r}") from None
     found = _class_result(_class_of(m), bound, m.counts)
     if found is None:
         return None
-    b = m.b
     if bound is not None:
         witness = ExpansionTuple(found)
-    else:
-        shifted = found
-        witness = [1] * (b + 1)
-        if any(shifted):
-            i_pos = max(range(b + 1), key=lambda i: shifted[i])
-            i_neg = min(range(b + 1), key=lambda i: shifted[i])
-            scale = [1] * (b + 1)
-            rest = sum(shifted[i] for i in range(b + 1) if i not in (i_pos, i_neg))
-            # enlarge the negative slot until the sum without i_pos drops below zero
-            scale[i_neg] = max(1, -(-(rest + 1) // -shifted[i_neg]))
-            partial = rest + scale[i_neg] * shifted[i_neg]
-            witness = [shifted[i_pos] * scale[i] for i in range(b + 1)]
-            witness[i_pos] = -partial
-        witness = ExpansionTuple(witness)
+    else:  # r_i = M on positive, P on negative, 1 on zero slots: M*P - P*M = 0
+        P, M = sum(v for v in found if v > 0), -sum(v for v in found if v < 0)
+        witness = ExpansionTuple([M if v > 0 else P if v < 0 else 1 for v in found])
     if (_weight(m, witness, 1) + _weight(m, witness, -1)) % (2 * m.N * witness.rsum):
         raise RuntimeError(f"witness {witness.r} failed the weight check "
-                           f"for counts {m.counts} with N={m.N}, b={b}")
+                           f"for counts {m.counts} with N={m.N}, b={m.b}")
     return witness
 
 

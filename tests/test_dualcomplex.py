@@ -799,6 +799,17 @@ def test_automorphisms_are_kept_on_the_complex():
     (lambda: st.OccupancyVector(0, 1, (1, -1)), "counts must be nonnegative, got (1, -1)"),
     (lambda: st.OccupancyVector(2, 1, (1, 1, 0, 0, 0)),
      "counts must use the all-ones indexing of length 2N(b+1), got length 5 for 2N(b+1) = 6"),
+    (lambda: st.ExpansionTuple(5), "expansion entries must be integers, got 5"),
+    (lambda: st.W_plus(st.OccupancyVector(0, 1, (0, 0)), 5), "expansion entries must be integers, got 5"),
+    (lambda: st.OccupancyVector(0, 1, 5), "counts must be integers, got 5"),
+    (lambda: st.find_admissible_r(st.OccupancyVector(0, 1, (0, 0)), 2.5),
+     "bound must be an integer, got 2.5"),
+    (lambda: st.find_admissible_r(st.OccupancyVector(0, 1, (0, 0)), "9"),
+     "bound must be an integer, got '9'"),
+    (lambda: dc.delta_K(D123, 1.5),
+     "k=1.5 is not a valid neutral level of X{n=3;N=1;b=3;[(0,+1),(0,+2),(0,+3)]}"),
+    (lambda: dc.delta_K(D123, "1"),
+     "k='1' is not a valid neutral level of X{n=3;N=1;b=3;[(0,+1),(0,+2),(0,+3)]}"),
     (lambda: pt.simplex(-1), "simplex dimension must be nonnegative, got n=-1"),
     (lambda: pt.cone(pt.simplex(1), -2), "cannot cone a negative number of times, got times=-2"),
     (lambda: pt.slice_lattice(0, 1, 2),
@@ -813,7 +824,10 @@ def test_automorphisms_are_kept_on_the_complex():
         "has_automorphism-integral-float", "has_automorphism-string",
         "local_chart", "type4_vertices", "grow_rows", "a", "ballot", "m_k", "m_profile",
         "n3_counts", "quotient_dimension", "ExpansionTuple", "ExpansionTuple-empty",
-        "OccupancyVector-range", "OccupancyVector-counts", "OccupancyVector-length", "simplex", "cone",
+        "OccupancyVector-range", "OccupancyVector-counts", "OccupancyVector-length",
+        "ExpansionTuple-scalar", "W_plus-scalar", "OccupancyVector-scalar",
+        "find_admissible_r-float-bound", "find_admissible_r-string-bound",
+        "delta_K-float-k", "delta_K-string-k", "simplex", "cone",
         "slice_lattice-sides", "slice_lattice-zero", "enumerate_complete_admissible"])
 def test_range_refusals_name_the_value(call, message):
     with pytest.raises(ValueError) as err:

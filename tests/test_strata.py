@@ -422,7 +422,7 @@ def test_unobstructed_occupancy():
 def test_constructive_witness_is_verified():
     m = st.OccupancyVector(2, 1, (0, 2, 1, 0, 0, 0))
     r = st.find_admissible_r(m)
-    assert r is not None
+    assert r == st.ExpansionTuple((3, 1, 1))  # cross-weighted from the shift (1, -1, -2)
     assert (st.W_plus(m, r) + st.W_minus(m, r)) % (2 * m.N * r.rsum) == 0
 
 
@@ -529,10 +529,9 @@ def test_deep_scans_keep_shared_draw_masks_at_the_cap():
         _per_call_scan_bound(m.counts, m.N, m.b, 100) for m in occs]
 
 
-def _per_call_cancelling_shift(counts, N, b, s2_shift=0):
-    """Reference: the first A - 2Nt that is all zero or takes both signs."""
-    s2, coeff = st._scan_coefficients(counts, N, b)
-    A = [s2 + s2_shift + c for c in coeff]
+def _per_call_cancelling_shift(N, A):
+    """Reference: the first A - 2Nt, over every t from min(A)/2N to max(A)/2N,
+    that is all zero or takes both signs."""
     step = 2 * N
     for t in range(-((-min(A)) // step), max(A) // step + 1):
         shifted = [a - step * t for a in A]
@@ -550,16 +549,57 @@ def test_class_memo_matches_per_call_oracles_and_ignores_s2_mod_2N():
             for s in st.iter_strata(n, N):
                 occ = st.occupancy(s)
                 case = (occ.counts, N, s.b)
+                s2, coeff = st._scan_coefficients(*case)
                 found = st.find_admissible_r(occ, bound=bound)
                 shifted = st._class_result(st._class_of(occ), None)
                 for s2_shift in (0, 2 * N, -2 * N):
                     assert _per_call_scan_bound(*case, bound, s2_shift) == (found and found.r)
-                    want = _per_call_cancelling_shift(*case, s2_shift)
+                    want = _per_call_cancelling_shift(N, [s2 + s2_shift + c for c in coeff])
                     assert want == (shifted and list(shifted))
                 assert st.r_exists(occ) == (want is not None)
                 strata += 1
     # one scan and one shift per coefficient class and bound, not per stratum
     assert len(st._CLASS_RESULTS) < strata
+
+
+def _unbounded_witness(shifted):
+    """find_admissible_r's witness for a class whose cancelling shift is shifted,
+    with the weight re-check (which the caller makes on shifted) stubbed out."""
+    m = st.OccupancyVector(len(shifted) - 1, 1, (0,) * 2 * len(shifted))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(st, "_class_result", lambda *args: shifted)
+        patch.setattr(st, "_weight", lambda m, r, sign: 0)
+        return st.find_admissible_r(m).r
+
+
+def _assert_closed_form(N, s2, coeff):
+    """The one-shift answer equals the scan over t, and its witness cancels it."""
+    shifted = st._cancelling_shift(N, s2, coeff)
+    want = _per_call_cancelling_shift(N, [s2 + c for c in coeff])
+    assert shifted == (want and tuple(want))
+    if shifted is not None:
+        r = _unbounded_witness(shifted)
+        assert min(r) >= 1 and sum(v * w for v, w in zip(shifted, r)) == 0
+    return shifted
+
+
+@pytest.mark.parametrize("N, s2, coeff, shifted", [
+    (2, 4, (4, 4, 4), (0, 0, 0)),  # every A_i the same multiple of 2N
+    (2, 1, (2, 2), None),  # every A_i the same, and no multiple of 2N
+    (1, 0, (2, 5), (-2, 1)),  # min(A) a multiple of 2N, another one inside
+    (1, 0, (2, 4), None),  # min(A) and max(A) multiples of 2N, none strictly between
+    (3, 0, (7, 11), None),  # max(A) - min(A) < 2N and no multiple between
+    (1, 0, (-5, 3, 0), (-1, 7, 4)),  # max(A) - min(A) > 2N: the least multiple above min(A)
+    (1, 0, (3, 1, 0), (1, -1, -2)),  # OccupancyVector(2, 1, (0, 2, 1, 0, 0, 0))
+], ids=["equal-multiple", "equal-off", "lo-multiple", "lo-hi-multiples", "narrow", "wide",
+        "worked-pair"])
+def test_cancelling_shift_cases(N, s2, coeff, shifted):
+    assert _assert_closed_form(N, s2, coeff) == shifted
+
+
+@given(hs.integers(1, 6), hs.integers(-40, 40), hs.lists(hs.integers(-40, 40), min_size=1, max_size=6))
+def test_cancelling_shift_matches_a_scan_over_t(N, s2, coeff):
+    _assert_closed_form(N, s2, tuple(coeff))
 
 
 def test_witness_errors_name_their_occupancy(monkeypatch):
