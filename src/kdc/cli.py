@@ -84,27 +84,25 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         return 2
     with _open_out(args.out) as sink:
         groups = st.enumerate_admissible(args.n, args.N)  # top dimension first
-        rows = []
-        if args.fmt == "csv" or not args.quiet:  # text --quiet prints the summary alone
-            rows = [
-                (
-                    st.format_stratum(s),
-                    s.b,
-                    str(st.classify_stratum(s)),
-                    st.cell_dimension(s),
-                    st.quotient_dimension(s, delta=args.delta),
-                    lc.format_chart(st.chart_of(s)),
-                )
-                for group in groups.values() for s in group
-            ]
+        rows = (  # written as they are made
+            (
+                st.format_stratum(s),
+                s.b,
+                str(st.classify_stratum(s)),
+                st.cell_dimension(s),
+                st.quotient_dimension(s, delta=args.delta),
+                lc.format_chart(st.chart_of(s)),
+            )
+            for group in groups.values() for s in group
+        )
         if args.fmt == "csv":
             writer = csv.writer(sink)
             writer.writerow(("id", "b", "class", "dim", "qdim", "chart"))
             writer.writerows(rows)
             return 0
-        lines = ["\t".join(str(field) for field in row) for row in rows]
-        lines.append(" ".join("%d:%d" % (dim, len(group)) for dim, group in groups.items()))
-        sink.write("\n".join(lines) + "\n")
+        if not args.quiet:  # text --quiet prints the summary alone
+            sink.writelines("%s\t%s\t%s\t%s\t%s\t%s\n" % row for row in rows)
+        sink.write(" ".join("%d:%d" % (dim, len(group)) for dim, group in groups.items()) + "\n")
     return 0
 
 
@@ -150,7 +148,7 @@ def cmd_dual(args: argparse.Namespace) -> int:
         return 2
     with _open_out(args.out) as sink:
         cx = dc.build(args.n, args.N)
-        sink.write(dc.export(cx, args.fmt, layout_seed=args.seed).decode("ascii"))
+        sink.writelines(dc._export_chunks(cx, args.fmt, layout_seed=args.seed))
     if args.n == 3 and not args.quiet:
         print(dc.verify_disk(cx).summary(), file=sys.stderr)
     return 0

@@ -13,6 +13,7 @@ stratum keys identifying shared faces.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 import operator
@@ -21,9 +22,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
-from itertools import compress
+from itertools import chain, compress, islice
 from operator import attrgetter, eq, itemgetter, le
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import polytope
 from . import strata as st
@@ -688,58 +689,70 @@ def to_json_dict(cx: DualComplex) -> dict:
     }
 
 
-def _json_list(items: List[str], indent: str) -> str:
-    """A JSON array of pre-indented items, laid out as ``json.dumps(indent=2)``."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+_CHUNK = 256  # entries a chunk of an export holds: cells, incidence pairs or lines
+
+
+def _json_array(entries: Iterable[str], indent: str) -> Iterator[str]:
+    """A JSON array of pre-indented entries, laid out as ``json.dumps(indent=2)``, in
+    chunks of _CHUNK entries; indent is that of the closing bracket."""
+    entries = iter(entries)
+    sep = "[\n"
+    while block := list(islice(entries, _CHUNK)):
+        yield sep + ",\n".join(block)
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n" + indent + "]"
 
 
 def _cell_block(dim: int, cls: Classification, b: int, xs: Tuple[int, ...]) -> str:
     """The JSON block of every cell with these fields and levels xs, with ``%s`` left
     for its id and ``%d`` for each residue."""
-    points = _json_list(['        {\n          "tau": %%d,\n          "x": %d\n        }' % x
-                         for x in xs], "      ")
+    points = "".join(_json_array(('        {\n          "tau": %%d,\n          "x": %d\n        }'
+                                  % x for x in xs), "      "))
     return ('    {\n      "id": %%s,\n      "dim": %d,\n      "class": %s,\n'
             '      "b": %d,\n      "points": %s\n    }' % (dim, _json_str(str(cls)), b, points))
 
 
-def _export_json(cx: DualComplex) -> bytes:
-    """``json.dumps(to_json_dict(cx), indent=2) + "\n"``, written directly.
+def _export_json(cx: DualComplex) -> Iterator[str]:
+    """The chunks of ``json.dumps(to_json_dict(cx), indent=2) + "\n"``.
 
     The indenting encoder of the json module runs in pure Python; this
     writes the fixed kdc-1 layout with the C string escaper instead.
     """
     blocks: Dict[tuple, str] = {}  # (dim, class, b, xs) -> _cell_block
-    cells = []
-    for c in cx.cells:
+
+    def entry(c: Cell) -> str:
         key = (c.dim, c.cls, c.b, tuple(map(itemgetter(1), c.stratum.points)))
         block = blocks.get(key)
         if block is None:
             block = blocks[key] = _cell_block(*key)
-        cells.append(block % ((_json_str(c.id),) + st._residues(c.stratum)))
-    incidence = [
-        "    [\n      %s,\n      %s\n    ]" % (_json_str(lo), _json_str(hi))
-        for lo, hi in sorted(cx.incidence)
-    ]
-    text = (
-        '{\n  "version": %s,\n  "n": %d,\n  "N": %d,\n  "cells": %s,\n'
-        '  "incidence": %s\n}\n'
-        % (_json_str(SCHEMA_VERSION), cx.n, cx.N,
-           _json_list(cells, "  "), _json_list(incidence, "  "))
-    )
-    return text.encode("ascii")
+        return block % ((_json_str(c.id),) + st._residues(c.stratum))
+
+    yield ('{\n  "version": %s,\n  "n": %d,\n  "N": %d,\n  "cells": '
+           % (_json_str(SCHEMA_VERSION), cx.n, cx.N))
+    yield from _json_array(map(entry, cx.cells), "  ")
+    yield ',\n  "incidence": '
+    yield from _json_array(("    [\n      %s,\n      %s\n    ]" % (_json_str(lo), _json_str(hi))
+                            for lo, hi in sorted(cx.incidence)), "  ")
+    yield "\n}\n"
 
 
-def _export_dot(cx: DualComplex) -> bytes:
+def _lines(lines: Iterable[str]) -> Iterator[str]:
+    """lines, each ended by a newline, in chunks of _CHUNK lines."""
+    lines = iter(lines)
+    while block := list(islice(lines, _CHUNK)):
+        block.append("")
+        yield "\n".join(block)
+
+
+def _export_dot(cx: DualComplex) -> Iterator[str]:
     dims, _, down = cx._graph
-    lines = ["graph dual_complex {", "  node [shape=point];"]
-    lines += ['  "%s";' % c.id for c, d in zip(cx.cells, dims) if d == 0]
-    for e, d in enumerate(dims):
-        if d == 1 and len(down[e]) == 2:
-            lines.append('  "%s" -- "%s";' % cx._ids(down[e]))
-    lines.append("}")
-    return ("\n".join(lines) + "\n").encode("ascii")
+    return _lines(chain(
+        ["graph dual_complex {", "  node [shape=point];"],
+        ('  "%s";' % c.id for c, d in zip(cx.cells, dims) if d == 0),
+        ('  "%s" -- "%s";' % cx._ids(down[e])
+         for e, d in enumerate(dims) if d == 1 and len(down[e]) == 2),
+        ["}"],
+    ))
 
 
 def _corners(cx: DualComplex, t: int) -> Tuple[int, int, int]:
@@ -751,34 +764,37 @@ def _corners(cx: DualComplex, t: int) -> Tuple[int, int, int]:
     return tuple(vs)
 
 
-def _export_off(cx: DualComplex, seed: int) -> bytes:
+def _export_off(cx: DualComplex, seed: int) -> Iterator[str]:
     pos = _layout(cx, seed)
     dims = cx._graph[0]
     verts = [i for i, d in enumerate(dims) if d == 0]  # positions, in pos's order
-    lines = ["OFF", "%d %d %d" % (len(verts), dims.count(2), dims.count(1))]
-    lines += ["%.9f %.9f 0" % p for p in pos.values()]
-    lines += ["3 %d %d %d" % tuple(bisect_left(verts, v) for v in _corners(cx, t))
-              for t, d in enumerate(dims) if d == 2]
-    return ("\n".join(lines) + "\n").encode("ascii")
+    # every triangle is checked here, before the first chunk
+    faces = [tuple(bisect_left(verts, v) for v in _corners(cx, t))
+             for t, d in enumerate(dims) if d == 2]
+    return _lines(chain(
+        ["OFF", "%d %d %d" % (len(verts), len(faces), dims.count(1))],
+        ("%.9f %.9f 0" % p for p in pos.values()),
+        ("3 %d %d %d" % f for f in faces),
+    ))
 
 
-def _export_tikz(cx: DualComplex, seed: int, labels: bool) -> bytes:
+def _export_tikz(cx: DualComplex, seed: int, labels: bool) -> Iterator[str]:
     pos = _layout(cx, seed)
     dims, _, down = cx._graph
-    lines = ["\\begin{tikzpicture}[scale=4]"]
-    for e, d in enumerate(dims):
-        if d == 1:
-            a, b = cx._ids(down[e])
-            lines.append("  \\draw (%.6f,%.6f) -- (%.6f,%.6f);" % (pos[a] + pos[b]))
-    if labels:
-        for v, (x, y) in pos.items():
-            lines.append("  \\node[font=\\tiny] at (%.6f,%.6f) {%s};" % (x, y, v))
-    lines.append("\\end{tikzpicture}")
-    return ("\n".join(lines) + "\n").encode("ascii")
+    edges = (cx._ids(down[e]) for e, d in enumerate(dims) if d == 1)
+    return _lines(chain(
+        ["\\begin{tikzpicture}[scale=4]"],
+        ("  \\draw (%.6f,%.6f) -- (%.6f,%.6f);" % (pos[a] + pos[b]) for a, b in edges),
+        ("  \\node[font=\\tiny] at (%.6f,%.6f) {%s};" % (x, y, v)
+         for v, (x, y) in pos.items()) if labels else (),
+        ["\\end{tikzpicture}"],
+    ))
 
 
-def export(cx: DualComplex, fmt: str, layout_seed: int = 0, labels: bool = False) -> bytes:
-    """Serialize a complex; off and tikz need an n = 3 verified disk."""
+def _export_chunks(cx: DualComplex, fmt: str, layout_seed: int = 0,
+                   labels: bool = False) -> Iterator[str]:
+    """The ASCII chunks of ``export(cx, fmt, layout_seed, labels)``, which ``kdc dual``
+    writes as they come.  A refusal is raised here, before the first chunk."""
     if fmt == "json":
         return _export_json(cx)
     if fmt == "dot":
@@ -788,6 +804,15 @@ def export(cx: DualComplex, fmt: str, layout_seed: int = 0, labels: bool = False
     if fmt == "tikz":
         return _export_tikz(cx, layout_seed, labels)
     raise ValueError("unknown export format %r" % fmt)
+
+
+def export(cx: DualComplex, fmt: str, layout_seed: int = 0, labels: bool = False) -> bytes:
+    """Serialize a complex; off and tikz need an n = 3 verified disk.  The chunks go
+    into one buffer, so the export is held about once."""
+    out = io.BytesIO()
+    for chunk in _export_chunks(cx, fmt, layout_seed, labels):
+        out.write(chunk.encode("ascii"))
+    return out.getvalue()
 
 
 _LEVEL_RE = re.compile(r"@k=(-?\d+)$", re.ASCII)

@@ -837,6 +837,16 @@ def _admissible_flat(n: int, N: int) -> tuple[Stratum, ...]:
     return tuple(iter_strata(n, N, admissible_only=True))
 
 
+@functools.lru_cache(maxsize=None)
+def _admissible_sorted(n: int, N: int) -> tuple[tuple[int, tuple[Stratum, ...]], ...]:
+    """(cell dimension, strata in canonical_key order) for each dimension, top first,
+    sorted once per (n, N)."""
+    groups: dict[int, list[Stratum]] = {}
+    for s in sorted(_admissible_flat(n, N), key=canonical_key):
+        groups.setdefault(cell_dimension(s), []).append(s)
+    return tuple((d, tuple(groups[d])) for d in sorted(groups, reverse=True))
+
+
 def enumerate_admissible(n: int, N: int) -> dict[int, tuple[Stratum, ...]]:
     """Canonical admissible strata grouped by cell dimension, top first."""
     n, N = _indices((n, N), "n and N")
@@ -844,10 +854,7 @@ def enumerate_admissible(n: int, N: int) -> dict[int, tuple[Stratum, ...]]:
         raise ValueError(f"n must be >= 2, got n={n}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got N={N}")
-    groups: dict[int, list[Stratum]] = {}
-    for s in sorted(_admissible_flat(n, N), key=canonical_key):
-        groups.setdefault(cell_dimension(s), []).append(s)
-    return {d: tuple(groups[d]) for d in sorted(groups, reverse=True)}
+    return dict(_admissible_sorted(n, N))  # a fresh dict, so a caller's edits stay its own
 
 
 # --- literals ---------------------------------------------------------------

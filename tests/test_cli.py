@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -207,6 +208,37 @@ def test_dual_writes_files(capsys, tmp_path):
     assert rc == 0
     assert out == ""
     assert dc.parse_complex(target.read_bytes()) == dc.build(3, 1)
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot", "off", "tikz"])
+def test_dual_writes_the_export_bytes(capsys, tmp_path, fmt):
+    # N = 8 has more cells, covers and lines than one chunk
+    want = dc.export(dc.build(3, 8), fmt, layout_seed=3)
+    argv = ("dual", "--n", "3", "--N", "8", "--format", fmt, "--seed", "3", "--quiet")
+    rc, out, _ = run(capsys, *argv)
+    assert (rc, out.encode("ascii")) == (0, want)
+    target = tmp_path / ("complex." + fmt)
+    rc, out, _ = run(capsys, *argv, "--out", str(target))
+    assert (rc, out, target.read_bytes()) == (0, "", want)
+
+
+# sha256 of `kdc enumerate` output, recorded while it still joined its rows
+@pytest.mark.parametrize("argv, digest", [
+    (("--n", "4", "--N", "2"), "78cf614034c98597e6a80e9e22a69943b5b29e214a224b3611b5bbd9ffe1da2c"),
+    (("--n", "4", "--N", "2", "--format", "csv"),
+     "04d58576001a38372da65f0b4ce54c0e706a79f2bdeaeba28bc2104dfdcb3c17"),
+    (("--n", "3", "--N", "3", "--delta", "1"),
+     "ee8c6b048a4ace399103a0556739d8e4b7baa4572dcbd156c26400a44685775b"),
+    (("--n", "5", "--N", "1", "--quiet"),
+     "0ecf3070e7326f126a61c875c5fc721472b241d3d2c3cb32de22760d735c4262"),
+])
+def test_enumerate_keeps_its_bytes(capsys, tmp_path, argv, digest):
+    target = tmp_path / "strata.txt"
+    rc, out, _ = run(capsys, "enumerate", *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+    assert run(capsys, "enumerate", *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode("ascii")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,13 +1,18 @@
 import hashlib
+import io
 import itertools
 import json
 import math
+import re
+import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as hs
 
+from kdc import cli
 from kdc import counting
 from kdc import dualcomplex as dc
 from kdc import linechart as lc
@@ -964,6 +969,76 @@ def test_off_export_rejects_a_digon():
     assert dc.verify_disk(digon).ok
     with pytest.raises(ValueError, match=r"^triangle .* is not on three vertices$"):
         dc.export(digon, "off")
+
+
+class _RecordingSink(io.StringIO):
+    """A text sink that keeps every write it gets."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, chunk):
+        self.writes.append(chunk)
+        return super().write(chunk)
+
+
+@pytest.mark.parametrize("fmt, with_triangle, message", [
+    ("off", True, r"triangle .* is not on three vertices$"),
+    ("off", False, r"layout needs a verified combinatorial disk; "),
+    ("tikz", False, r"layout needs a verified combinatorial disk; "),
+], ids=["off-digon", "off-no-disk", "tikz-no-disk"])
+def test_geometry_refusals_write_nothing(capsys, monkeypatch, fmt, with_triangle, message):
+    cells, incidence = _digon(dc.build(3, 1), with_triangle)
+    digon = dc.DualComplex(3, 1, cells, frozenset(incidence))
+    with pytest.raises(ValueError, match="^" + message):
+        dc._export_chunks(digon, fmt)  # refused before a chunk is made
+    sink = _RecordingSink()
+    monkeypatch.setattr(dc, "build", lambda n, N: digon)
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert cli.main(["dual", "--n", "3", "--N", "1", "--format", fmt]) == 2
+    assert sink.writes == []
+    assert re.match("error: " + message, capsys.readouterr().err)
+
+
+def _piece(cells, pairs):
+    """A complex of `cells` cells and the first `pairs` covers of build(4, 4): the ends
+    of those covers, then further cells in id order."""
+    cx = dc.build(4, 4)
+    covers = sorted(cx.incidence)[:pairs]
+    ends = {cid for pair in covers for cid in pair}
+    kept = [c for c in cx.cells if c.id in ends]
+    kept += [c for c in cx.cells if c.id not in ends][:cells - len(kept)]
+    piece = dc.DualComplex(4, 4, tuple(kept), frozenset(covers))
+    assert (len(piece.cells), len(piece.incidence)) == (cells, pairs)
+    return piece
+
+
+CHUNK = dc._CHUNK
+
+
+# cells and pairs at the edges of a chunk; the ends of the first 256, 257 and
+# 513 covers of build(4, 4) are 248, 249 and 484 cells
+@pytest.mark.parametrize("cells, pairs", [
+    (0, 0), (1, 0), (CHUNK, 0), (CHUNK + 1, 0), (2 * CHUNK + 1, 1), (CHUNK, CHUNK),
+    (CHUNK + 1, CHUNK + 1), (484, 2 * CHUNK + 1),
+])
+def test_chunked_json_matches_the_reference_encoder(cells, pairs):
+    piece = _piece(cells, pairs)
+    want = json.dumps(dc.to_json_dict(piece), indent=2) + "\n"
+    assert dc.export(piece, "json") == want.encode("ascii")
+
+
+def test_json_export_holds_about_one_copy_of_its_output():
+    cx = dc.build(4, 4)
+    tracemalloc.start()
+    try:
+        blob = dc.export(cx, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = peak / len(blob)
+    assert ratio <= 2, "export peaked at %.2f times its %d bytes" % (ratio, len(blob))
 
 
 def test_layout_exports_are_deterministic():

@@ -696,6 +696,20 @@ def test_enumeration_is_canonical_and_sorted():
         assert list(seq) == sorted(seq, key=st.canonical_key)
 
 
+@pytest.mark.parametrize("n, N", [(3, 2), (4, 2), (5, 1)])
+def test_enumeration_is_sorted_once_and_handed_out_fresh(monkeypatch, n, N):
+    fresh = {}
+    for s in sorted(st._admissible_flat(n, N), key=st.canonical_key):
+        fresh.setdefault(st.cell_dimension(s), []).append(s)
+    want = {d: tuple(fresh[d]) for d in sorted(fresh, reverse=True)}
+    first = st.enumerate_admissible(n, N)
+    assert first == want and list(first) == list(want)
+    first.clear()
+    first[9] = ()
+    monkeypatch.setattr(st, "canonical_key", lambda s: 1 / 0)  # a re-sort would raise
+    assert st.enumerate_admissible(n, N) == want
+
+
 def test_iter_strata_filters():
     dim0 = set(st.iter_strata(3, 1, b=0))
     assert dim0 == {A000, A011, mk(3, 1, 0, (0, 0, 1)), mk(3, 1, 0, (1, 1, 1))}
