@@ -262,54 +262,34 @@ def _build(n: int, N: int) -> DualComplex:
 
 
 # ---------------------------------------------------------------------------
-# local complexes of a single deepest stratum
+# closed cells of single deepest strata
 
 
-class LocalComplex:
-    """Closed cell of one deepest stratum with its face lattice.
+def delta_K(top: st.Stratum, k: Optional[int] = None) -> DualComplex:
+    """The closed cell of a deepest stratum at neutral level k, as a complex.
 
-    ``poset`` is the abstract face lattice on chart vertex supports and
-    ``cells`` maps each support to the stratum cell it represents.
-    """
-
-    def __init__(self, top: Cell, poset: polytope.FacePoset, cells):
-        self.top = top
-        self.poset = poset
-        self.cells = dict(cells)
-
-    def f_vector(self) -> Tuple[int, ...]:
-        return self.poset.f_vector()
-
-    def cells_of_dim(self, d: int) -> Tuple[Cell, ...]:
-        out = [self.cells[f] for f in self.poset.faces if self.poset.dim_of(f) == d]
-        return tuple(sorted(out, key=lambda c: c.id))
-
-
-def delta_K(top: st.Stratum, k: Optional[int] = None) -> LocalComplex:
-    """Face lattice of the closed cell of a deepest stratum.
-
-    Faces correspond bijectively to chart vertex subsets valid at the
-    chosen neutral level; the lattice is isomorphic to the slice of a
-    simplex cut by the neutral line.
+    Its cells are the stratum's and one per chart vertex subset valid at
+    k; the covers are those of their supports, which makes the cell the
+    slice of a simplex cut by the neutral line.
     """
     if top.b != top.n:
         raise ValueError("need a deepest stratum (b = n), got %s" % st.format_stratum(top))
     center = _make_cell(top, k)
-    k = center.k
-
     chart, taus = st.chart_of(top), st._residues(top)
-    dims = {}
-    cells = {}
-    for plan in st._plans(chart, k):
-        support = frozenset((v.x, v.y) for i, v in enumerate(chart.vertices) if plan.mask >> i & 1)
-        dims[support] = plan.dim
-        cells[support] = _make_cell(plan.stratum(top.n, top.N, plan.residues(taus, top.N)), plan.k)
-    support = frozenset((v.x, v.y) for v in chart.vertices)
-    dims[support], cells[support] = center.dim, center
-    local = LocalComplex(center, polytope.FacePoset(dims), cells)
-    if len({c.stratum for c in local.cells.values()}) != len(local.cells):
+    plans = st._plans(chart, center.k)
+    cells = [_make_cell(plan.stratum(top.n, top.N, plan.residues(taus, top.N)), plan.k)
+             for plan in plans] + [center]
+    if len({c.stratum for c in cells}) != len(cells):
         raise InvariantError("face strata of a single cell must be distinct")
-    return local
+    faces = st._face_masks(chart.vertices, center.k)  # (mask, dim) of each plan, then the whole
+    up = polytope._labelled(range(len(chart.vertices)), faces)._scan[0][1]
+    return DualComplex(top.n, top.N, tuple(cells),
+                       frozenset((c.id, cells[j].id) for c, js in zip(cells, up) for j in js))
+
+
+def has_face_poset(cx: DualComplex, model: polytope.FacePoset) -> bool:
+    """Whether the cover graph of cx is that of the face poset model (polytope._isomorphisms)."""
+    return bool(polytope._isomorphisms(cx._graph, model._scan[0], first=True))
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +612,8 @@ def _tutte_layout(cx: DualComplex, seed: int) -> Dict[str, Tuple[float, float]]:
     the mean of its neighbours (summed in id order), until no coordinate
     moves by 1e-9.  A position is one complex number x + iy: summing complex
     numbers adds the parts separately, and dividing by an int divides each
-    part, so the floats are those of two real sweeps.
+    part, so the floats are those of two real sweeps.  A disk with a triangle
+    not on three vertices is refused, so every layout draws triangles.
     """
     report = verify_disk(cx)
     if not report.ok:
@@ -641,6 +622,9 @@ def _tutte_layout(cx: DualComplex, seed: int) -> Dict[str, Tuple[float, float]]:
             "(n, N) = (%d, %d) failed: %s" % (cx.n, cx.N, ", ".join(report.failures()))
         )
     dims, up, down = cx._graph
+    for t, d in enumerate(dims):
+        if d == 2 and len(_corners(cx, t)) != 3:
+            raise ValueError("triangle %s is not on three vertices" % cx.cells[t].id)
     verts = [i for i, d in enumerate(dims) if d == 0]  # positions, so in id order
     pz = [0j] * len(dims)
     cycle = list(map(cx._position, report.boundary_cycle))
@@ -755,20 +739,16 @@ def _export_dot(cx: DualComplex) -> Iterator[str]:
     ))
 
 
-def _corners(cx: DualComplex, t: int) -> Tuple[int, int, int]:
-    """The sorted vertex positions of the triangle at position t, which must be three."""
+def _corners(cx: DualComplex, t: int) -> Tuple[int, ...]:
+    """The sorted vertex positions of the 2-cell at position t."""
     down = cx._graph[2]
-    vs = sorted({v for e in down[t] for v in down[e]})
-    if len(vs) != 3:
-        raise ValueError("triangle %s is not on three vertices" % cx.cells[t].id)
-    return tuple(vs)
+    return tuple(sorted({v for e in down[t] for v in down[e]}))
 
 
 def _export_off(cx: DualComplex, seed: int) -> Iterator[str]:
     pos = _layout(cx, seed)
     dims = cx._graph[0]
     verts = [i for i, d in enumerate(dims) if d == 0]  # positions, in pos's order
-    # every triangle is checked here, before the first chunk
     faces = [tuple(bisect_left(verts, v) for v in _corners(cx, t))
              for t, d in enumerate(dims) if d == 2]
     return _lines(chain(

@@ -525,16 +525,6 @@ class OccupancyVector:
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "counts", cc)
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __getitem__(self, i):
-        return self.counts[i]
-
 
 def m_vector(s: Stratum, r) -> tuple[int, ...]:
     """Point counts over the 2*N*rsum cycle components under expansion r.

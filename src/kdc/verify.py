@@ -230,22 +230,22 @@ def _c07(max_n, max_N) -> str:
 @_criterion(8, "n=4 local complexes", ("all",))
 def _c08(max_n, max_N) -> str:
     top = st.Stratum(4, 1, 4, [st.PointLabel(0, x) for x in (1, 2, 3, 4)])
-    local = dc.delta_K(top)
-    _need(local.f_vector() == (5, 8, 5, 1), "f-vector %r" % (local.f_vector(),))
+    cell = dc.delta_K(top)
+    _need(cell.f_vector() == (5, 8, 5, 1), "f-vector %r" % (cell.f_vector(),))
 
     _need(
-        _xs(local.cells_of_dim(0))
+        _xs(cell.by_dim[0])
         == {(0, 0, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2), (0, 1, 1, 2), (0, 1, 1, 1)},
         "pyramid vertices are mislabeled",
     )
     _need(
-        _xs(local.cells_of_dim(1))
+        _xs(cell.by_dim[1])
         == {(1, 1, 2, 2), (1, 2, 2, 2), (0, 1, 1, 2), (0, 1, 2, 3),
             (0, 1, 2, 2), (1, 1, 1, 2), (1, 1, 2, 3), (1, 2, 2, 3)},
         "pyramid edges are mislabeled",
     )
     _need(
-        _xs(local.cells_of_dim(2))
+        _xs(cell.by_dim[2])
         == {(1, 2, 2, 3), (1, 1, 2, 3), (1, 2, 3, 4), (0, 1, 2, 3), (1, 2, 3, 3)},
         "pyramid 2-faces are mislabeled",
     )
@@ -256,10 +256,10 @@ def _c08(max_n, max_N) -> str:
     for N in (1, 2):
         for s in st.iter_strata(4, N, b=4, admissible_only=True):
             for k in st.valid_levels(s):
-                poset = dc.delta_K(s, k).poset
-                if pt.iso(poset, tetra):
+                cell = dc.delta_K(s, k)
+                if dc.has_face_poset(cell, tetra):
                     shapes["tetrahedron"] += 1
-                elif pt.iso(poset, pyramid):
+                elif dc.has_face_poset(cell, pyramid):
                     shapes["pyramid"] += 1
                 else:
                     raise CriterionFailure(
@@ -328,19 +328,19 @@ def _c10(max_n, max_N) -> str:
 
     plus = dc.delta_K(D)
     _need(plus.f_vector() == (3, 3, 1), "triangle f-vector %r" % (plus.f_vector(),))
-    _need(_xs(plus.cells_of_dim(0)) == {(0, 1, 1), (1, 1, 1), (1, 1, 2)},
+    _need(_xs(plus.by_dim[0]) == {(0, 1, 1), (1, 1, 1), (1, 1, 2)},
           "triangle vertices mislabeled")
-    _need(_xs(plus.cells_of_dim(1)) == {(1, 1, 2), (1, 2, 2), (1, 2, 3)},
+    _need(_xs(plus.by_dim[1]) == {(1, 1, 2), (1, 2, 2), (1, 2, 3)},
           "triangle edges mislabeled")
 
     mirror = st.Stratum(3, 1, 3, [st.PointLabel(0, x) for x in (1, 2, -3)])
     minus = dc.delta_K(mirror)
     _need(minus.f_vector() == (3, 3, 1), "mirror f-vector %r" % (minus.f_vector(),))
-    _need(_xs(minus.cells_of_dim(0)) == {(0, 0, 0), (0, 1, 1), (1, 1, 2)},
+    _need(_xs(minus.by_dim[0]) == {(0, 0, 0), (0, 1, 1), (1, 1, 2)},
           "mirror vertices mislabeled")
-    _need(_xs(minus.cells_of_dim(1)) == {(-1, 0, 1), (-2, 1, 1), (1, 2, 3)},
+    _need(_xs(minus.by_dim[1]) == {(-1, 0, 1), (-2, 1, 1), (1, 2, 3)},
           "mirror edges mislabeled")
-    shared = {c.id for c in plus.cells.values()} & {c.id for c in minus.cells.values()}
+    shared = {c.id for c in plus.cells} & {c.id for c in minus.cells}
     _need(len(shared) == 3, "triangles must share an edge and its ends: %r" % shared)
     return "smoothing lists and both worked triangles reproduced"
 
@@ -404,7 +404,16 @@ def criteria(suite: str = "all"):
     return [entry for entry in sorted(_REGISTRY) if suite in entry[2]]
 
 
+def _ranges(max_n, max_N) -> None:
+    """Refuse a range cap that is neither None nor an integer >= 1: a cap of 0 would
+    leave most criteria nothing to check, and pass."""
+    for name, value in (("max_n", max_n), ("max_N", max_N)):
+        if value is not None and (type(value) is not int or value < 1):
+            raise ValueError("%s must be None or an integer >= 1, got %r" % (name, value))
+
+
 def run_criterion(cid: int, max_n: Optional[int] = None, max_N: Optional[int] = None) -> CriterionResult:
+    _ranges(max_n, max_N)
     for entry in _REGISTRY:
         if entry[0] == cid:
             return _run(entry, max_n, max_N)
@@ -432,6 +441,7 @@ def run_suite(
     Python version and CPU count, so its timings can be read against the host."""
     import platform  # here, not at the top: it costs every kdc command 3 ms and 0.1 MB
 
+    _ranges(max_n, max_N)
     results = [_run(entry, max_n, max_N) for entry in criteria(suite)]
     ok = all(r.passed for r in results)
     report = {

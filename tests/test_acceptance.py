@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from kdc import dualcomplex as dc
 from kdc import linechart as lc
 from kdc import verify
 
@@ -90,3 +91,35 @@ def test_c01_judges_the_fastest_of_five_calls(monkeypatch):
     _slow_enumeration(monkeypatch, {0})
     result = verify.run_criterion(1)
     assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("cid, detail", [
+    (8, "pyramid example labeled correctly; top cells: {'tetrahedron': 54, 'pyramid': 18}"),
+    (10, "smoothing lists and both worked triangles reproduced"),
+])
+def test_closed_cell_criteria_keep_their_detail(cid, detail):
+    result = verify.run_criterion(cid)
+    assert (result.passed, result.detail) == (True, detail)
+
+
+def test_c08_refuses_a_cell_missing_a_cover(monkeypatch):
+    real = dc.delta_K
+
+    def delta_K(top, k=None):
+        cell = real(top, k)
+        return dc.DualComplex(cell.n, cell.N, cell.cells, cell.incidence - {min(cell.incidence)})
+
+    monkeypatch.setattr(dc, "delta_K", delta_K)
+    result = verify.run_criterion(8)
+    assert not result.passed
+    assert re.fullmatch(r"top cell \S+ is neither tetrahedron nor pyramid", result.detail)
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.5, "4"])
+@pytest.mark.parametrize("name", ["max_n", "max_N"])
+def test_range_caps_must_be_positive_integers(name, value):
+    message = r"^%s must be None or an integer >= 1, got %s$" % (name, re.escape(repr(value)))
+    with pytest.raises(ValueError, match=message):
+        verify.run_suite("all", **{name: value})
+    with pytest.raises(ValueError, match=message):
+        verify.run_criterion(3, **{name: value})

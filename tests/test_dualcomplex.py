@@ -136,27 +136,27 @@ def test_ambiguous_levels_get_suffixed_ids():
 
 
 # ---------------------------------------------------------------------------
-# local face lattices
+# closed cells of deepest strata
 
 
 def test_triangle_cell_of_diagonal_top():
-    local = dc.delta_K(D123)
-    assert local.f_vector() == (3, 3, 1)
-    assert {xs_of(c) for c in local.cells_of_dim(0)} == {(0, 1, 1), (1, 1, 1), (1, 1, 2)}
-    assert {xs_of(c) for c in local.cells_of_dim(1)} == {(1, 1, 2), (1, 2, 2), (1, 2, 3)}
-    assert local.top.stratum == D123
+    cell = dc.delta_K(D123)
+    assert cell.f_vector() == (3, 3, 1)
+    assert {xs_of(c) for c in cell.by_dim[0]} == {(0, 1, 1), (1, 1, 1), (1, 1, 2)}
+    assert {xs_of(c) for c in cell.by_dim[1]} == {(1, 1, 2), (1, 2, 2), (1, 2, 3)}
+    assert [c.stratum for c in cell.by_dim[2]] == [D123]
 
 
 def test_triangle_cell_of_mirror_top():
-    local = dc.delta_K(D12m3)
-    assert local.f_vector() == (3, 3, 1)
-    assert {xs_of(c) for c in local.cells_of_dim(0)} == {(0, 0, 0), (0, 1, 1), (1, 1, 2)}
-    assert {xs_of(c) for c in local.cells_of_dim(1)} == {(-1, 0, 1), (-2, 1, 1), (1, 2, 3)}
+    cell = dc.delta_K(D12m3)
+    assert cell.f_vector() == (3, 3, 1)
+    assert {xs_of(c) for c in cell.by_dim[0]} == {(0, 0, 0), (0, 1, 1), (1, 1, 2)}
+    assert {xs_of(c) for c in cell.by_dim[1]} == {(-1, 0, 1), (-2, 1, 1), (1, 2, 3)}
 
 
 def test_mirror_triangles_share_three_cells():
-    plus = {c.id for c in dc.delta_K(D123).cells.values()}
-    minus = {c.id for c in dc.delta_K(D12m3).cells.values()}
+    plus = {c.id for c in dc.delta_K(D123).cells}
+    minus = {c.id for c in dc.delta_K(D12m3).cells}
     shared = plus & minus
     assert shared == {
         st.format_stratum(mk(3, 1, 0, (0, 1, 1))),
@@ -166,16 +166,16 @@ def test_mirror_triangles_share_three_cells():
 
 
 def test_pyramid_cell():
-    local = dc.delta_K(E1234)
-    assert local.f_vector() == (5, 8, 5, 1)
-    assert {xs_of(c) for c in local.cells_of_dim(0)} == {
+    cell = dc.delta_K(E1234)
+    assert cell.f_vector() == (5, 8, 5, 1)
+    assert {xs_of(c) for c in cell.by_dim[0]} == {
         (0, 0, 1, 1),
         (1, 1, 1, 1),
         (1, 1, 1, 2),
         (0, 1, 1, 2),
         (0, 1, 1, 1),
     }
-    assert {xs_of(c) for c in local.cells_of_dim(1)} == {
+    assert {xs_of(c) for c in cell.by_dim[1]} == {
         (1, 1, 2, 2),
         (1, 2, 2, 2),
         (0, 1, 1, 2),
@@ -185,7 +185,7 @@ def test_pyramid_cell():
         (1, 1, 2, 3),
         (1, 2, 2, 3),
     }
-    assert {xs_of(c) for c in local.cells_of_dim(2)} == {
+    assert {xs_of(c) for c in cell.by_dim[2]} == {
         (1, 2, 2, 3),
         (1, 1, 2, 3),
         (1, 2, 3, 4),
@@ -196,25 +196,42 @@ def test_pyramid_cell():
 
 def test_local_lattice_is_a_slice():
     for top in (D123, D12m3, E1234):
-        local = dc.delta_K(top)
-        on, above, below = local.top.lattice_shape
-        assert pt.iso(local.poset, pt.slice_lattice(above, below, on))
+        cell = dc.delta_K(top)
+        on, above, below = cell.by_stratum[top][0].lattice_shape
+        assert dc.has_face_poset(cell, pt.slice_lattice(above, below, on))
+
+
+def _closure(cx, top):
+    """The sub-complex of cx on the cell top and every cell below it."""
+    down = cx._graph[2]
+    keep, todo = set(), [cx._position(top.id)]
+    while todo:
+        i = todo.pop()
+        if i not in keep:
+            keep.add(i)
+            todo += down[i]
+    return dc.DualComplex(cx.n, cx.N, tuple(cx.cells[i] for i in keep),
+                          frozenset((cx.cells[j].id, cx.cells[i].id) for i in keep for j in down[i]))
 
 
 def test_local_cells_agree_with_global_complex():
-    cx3, cx5 = dc.build(3, 1), dc.build(5, 1)
-    # every top cell of (5,1) at its own level, two-level strata included
-    tops = [(cx3, top, None) for top in (D123, D12m3)]
-    tops += [(cx5, top.stratum, top.k) for top in cx5.by_dim[4]]
-    assert any("@k=" in top.id for top in cx5.by_dim[4])
-    for cx, top, k in tops:
-        local = dc.delta_K(top, k)
-        assert cx.by_id[local.top.id] == local.top
-        for support, cell in local.cells.items():
-            peer = cx.by_id[cell.id]
-            assert peer.lattice_shape == cell.lattice_shape
-            assert peer.dim == local.poset.dim_of(support)
-            assert peer.k == cell.k
+    # every deepest cell, the two-level strata of (5,1) and (6,1) at each of their levels
+    for n, N in ((3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3), (5, 1), (6, 1)):
+        cx = dc.build(n, N)
+        deepest = [c for c in cx.cells if c.b == n]
+        assert deepest and all(c.dim == n - 1 for c in deepest)
+        if (n, N) == (3, 1):
+            assert {D123, D12m3} <= {c.stratum for c in deepest}
+        if (n, N) == (5, 1):
+            assert deepest == list(cx.by_dim[4]) and any("@k=" in c.id for c in deepest)
+        for top in deepest:
+            cell = dc.delta_K(top.stratum, top.k)
+            assert cell == _closure(cx, top), top.id
+            if (n, N) == (3, 2):
+                assert dc.verify_disk(cell).ok, top.id
+    for top in (D123, D12m3, E1234):
+        cell = dc.delta_K(top)
+        assert dc.parse_complex(dc.export(cell, "json")) == cell
 
 
 def test_delta_K_guards():
@@ -227,7 +244,7 @@ def test_delta_K_guards():
     with pytest.raises(ValueError, match="ambiguous"):
         dc.delta_K(ambiguous)
     for k in (1, 2):
-        assert dc.delta_K(ambiguous, k=k).top.k == k
+        assert [c.k for c in dc.delta_K(ambiguous, k=k).by_stratum[ambiguous]] == [k]
     with pytest.raises(ValueError):
         dc.delta_K(ambiguous, k=3)
     # k = 2 is a neutral level of the chart but fails the residue condition
@@ -235,6 +252,28 @@ def test_delta_K_guards():
     assert st.valid_levels(one_level) == (1,)
     with pytest.raises(ValueError, match="k=2 is not a valid neutral level"):
         dc.delta_K(one_level, k=2)
+
+
+def test_delta_K_refuses_repeated_face_strata(monkeypatch):
+    plans = st._plans
+    monkeypatch.setattr(st, "_plans", lambda chart, k: plans(chart, k) * 2)
+    with pytest.raises(InvariantError, match="^face strata of a single cell must be distinct$"):
+        dc.delta_K(D123)
+
+
+def test_a_cell_missing_a_cover_has_neither_shape():
+    tetra = pt.simplex(3)
+    pyramid = pt.cone(pt.product(pt.simplex(1), pt.simplex(1)), 1)
+    shapes = Counter()
+    for top in dc.build(4, 1).by_dim[3]:
+        cell = dc.delta_K(top.stratum)
+        shape = "tetrahedron" if dc.has_face_poset(cell, tetra) else "pyramid"
+        assert dc.has_face_poset(cell, tetra if shape == "tetrahedron" else pyramid)
+        shapes[shape] += 1
+        for pair in sorted(cell.incidence):
+            cut = dc.DualComplex(4, 1, cell.cells, cell.incidence - {pair})
+            assert not dc.has_face_poset(cut, tetra) and not dc.has_face_poset(cut, pyramid)
+    assert min(shapes.values()) > 0 and len(shapes) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -971,6 +1010,14 @@ def test_off_export_rejects_a_digon():
         dc.export(digon, "off")
 
 
+def test_tikz_export_rejects_a_digon():
+    cells, incidence = _digon(dc.build(3, 1))
+    digon = dc.parse_complex(dc.export(dc.DualComplex(3, 1, cells, frozenset(incidence)), "json"))
+    assert dc.verify_disk(digon).ok
+    with pytest.raises(ValueError, match=r"^triangle .* is not on three vertices$"):
+        dc.export(digon, "tikz")
+
+
 class _RecordingSink(io.StringIO):
     """A text sink that keeps every write it gets."""
 
@@ -987,7 +1034,8 @@ class _RecordingSink(io.StringIO):
     ("off", True, r"triangle .* is not on three vertices$"),
     ("off", False, r"layout needs a verified combinatorial disk; "),
     ("tikz", False, r"layout needs a verified combinatorial disk; "),
-], ids=["off-digon", "off-no-disk", "tikz-no-disk"])
+    ("tikz", True, r"triangle .* is not on three vertices$"),
+], ids=["off-digon", "off-no-disk", "tikz-no-disk", "tikz-digon"])
 def test_geometry_refusals_write_nothing(capsys, monkeypatch, fmt, with_triangle, message):
     cells, incidence = _digon(dc.build(3, 1), with_triangle)
     digon = dc.DualComplex(3, 1, cells, frozenset(incidence))

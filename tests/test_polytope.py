@@ -242,11 +242,19 @@ def _verify_suite_posets():
                 yield pt.slice_lattice(n_plus, n_minus, n_zero)
                 yield pt.cone(pt.product(pt.simplex(n_plus - 1), pt.simplex(n_minus - 1)), n_zero)
     for n, xs in ((4, (1, 2, 3, 4)), (3, (1, 2, 3)), (3, (1, 2, -3))):
-        yield dc.delta_K(st.Stratum(n, 1, n, [(0, x) for x in xs])).poset
+        s = st.Stratum(n, 1, n, [(0, x) for x in xs])
+        yield _closed_cell(s, *st.valid_levels(s))
     for N in (1, 2):
         for s in st.iter_strata(4, N, b=4, admissible_only=True):
             for k in st.valid_levels(s):
-                yield dc.delta_K(s, k).poset
+                yield _closed_cell(s, k)
+
+
+def _closed_cell(s, k):
+    """The face poset whose covers delta_K(s, k) reads: the face masks of s's chart at k,
+    each as the set of its chart-vertex indices."""
+    verts = st.chart_of(s).vertices
+    return pt._labelled(range(len(verts)), st._face_masks(verts, k))
 
 
 def test_bitset_scan_matches_the_pairwise_scan():

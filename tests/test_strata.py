@@ -366,7 +366,7 @@ def test_expansion_tuple_validation():
 
 def test_occupancy_vector_validation():
     m = st.OccupancyVector(2, 1, (1, 1, 1, 0, 0, 0))
-    assert m.total == 3 and len(m) == 6 and m[2] == 1
+    assert (m.b, m.N, m.counts) == (2, 1, (1, 1, 1, 0, 0, 0))
     with pytest.raises(ValueError):
         st.OccupancyVector(2, 1, (1, -1, 0, 0, 0, 0))
     with pytest.raises(ValueError):
