@@ -44,9 +44,6 @@ class FacePoset:
     def __len__(self) -> int:
         return len(self._faces)
 
-    def __contains__(self, face: Face) -> bool:
-        return frozenset(face) in self._dims
-
     def f_vector(self) -> Tuple[int, ...]:
         """Face counts by dimension, from 0 up to the top dimension."""
         counts = [0] * (self.dim + 1)

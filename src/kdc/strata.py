@@ -565,20 +565,32 @@ def occupancy(s: Stratum) -> OccupancyVector:
     return m
 
 
+def _reads(counts, N: int, b: int) -> Iterator[tuple[int, int, int, int]]:
+    """(count, sign, tau, k) for each occupied component of the all-ones indexing.
+
+    Component 2(b+1)tau + x is read once: by W_plus at (tau, k = x) when
+    x <= b, else by W_minus at ((tau + 1) mod N, k = 2(b+1) - x).
+    """
+    width = 2 * (b + 1)
+    for i in itertools.compress(range(len(counts)), counts):
+        tau, x = divmod(i, width)
+        if x <= b:
+            yield counts[i], 1, tau, x
+        else:
+            yield counts[i], -1, (tau + 1) % N, width - x
+
+
 def _weight(m: OccupancyVector, r, sign: int) -> int:
     """W_plus (sign 1, k = 0..b) or W_minus (sign -1, k = 1..b+1)."""
     if not isinstance(m, OccupancyVector):
         raise ValueError(f"the oracles take an OccupancyVector, got {m!r}")
-    counts, N, b = m.counts, m.N, m.b
     r = r if isinstance(r, ExpansionTuple) else ExpansionTuple(r)
-    if len(r) != b + 1:
-        raise ValueError(f"expansion needs {b + 1} entries, got {len(r)}")
+    if len(r) != m.b + 1:
+        raise ValueError(f"expansion needs {m.b + 1} entries, got {len(r)}")
     rsum = r.rsum
     rho = tuple(itertools.accumulate(r, initial=0))
-    size = 2 * N * (b + 1)
-    ks = range(b + 1) if sign > 0 else range(1, b + 2)
-    return sum(counts[(2 * tau * (b + 1) + sign * k) % size] * (2 * tau * rsum + sign * rho[k])
-               for tau in range(N) for k in ks)
+    return sum(c * (2 * tau * rsum + sign * rho[k])
+               for c, side, tau, k in _reads(m.counts, m.N, m.b) if side == sign)
 
 
 def W_plus(m: OccupancyVector, r) -> int:
@@ -604,21 +616,12 @@ def W_minus(m: OccupancyVector, r) -> int:
 
 
 def _scan_coefficients(counts, N: int, b: int) -> tuple[int, list[int]]:
-    size = 2 * N * (b + 1)
-    period = b + 1
+    # reads only the occupied components, at most n of the 2N(b+1)
     s2 = 0
-    diff = [0] * (b + 2)  # occupied-above minus occupied-below, per level
-    for tau in range(N):
-        base = 2 * tau * period
-        for k in range(b + 1):
-            c = counts[(base + k) % size]
-            s2 += 2 * tau * c
-            if k >= 1:
-                diff[k] += c
-        for k in range(1, b + 2):
-            c = counts[(base - k) % size]
-            s2 += 2 * tau * c
-            diff[k] -= c
+    diff = [0] * (b + 2)  # occupied-above minus occupied-below, per level; diff[0] unread
+    for c, sign, tau, k in _reads(counts, N, b):
+        s2 += 2 * tau * c
+        diff[k] += sign * c
     coeff = list(itertools.accumulate(diff[:0:-1]))[::-1]
     return s2, coeff
 
@@ -780,6 +783,8 @@ def iter_strata(
     Yield order: b ascending, then charts in _canonical_charts order, then
     the itertools.product of the residue multisets of the chart's classes,
     taken top level first and positives first within a level.
+    admissible_only drops exactly the strata whose by_sum row is empty, the
+    ones with no valid level, and keeps the order of the rest.
     """
     if b is None:
         n, N = _indices((n, N), "n and N")

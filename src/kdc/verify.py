@@ -110,8 +110,10 @@ def _c03(max_n, max_N) -> str:
     checked = 0
     for n in range(3, _cap(5, max_n) + 1):
         for N in range(1, _cap(5, max_N) + 1):
+            # the admissible walk drops only strata with no valid level, each adding 0
             cells = sum(
-                len(st.valid_levels(s)) for s in st.iter_strata(n, N, b=n)
+                len(st.valid_levels(s))
+                for s in st.iter_strata(n, N, b=n, admissible_only=True)
             )
             want = N ** (n - 1) * counting.a(n)
             _need(

@@ -15,6 +15,7 @@ import pytest
 
 from kdc import dualcomplex as dc
 from kdc import linechart as lc
+from kdc import strata as st
 from kdc import verify
 
 _DURATIONS = {}
@@ -113,6 +114,22 @@ def test_c08_refuses_a_cell_missing_a_cover(monkeypatch):
     result = verify.run_criterion(8)
     assert not result.passed
     assert re.fullmatch(r"top cell \S+ is neither tetrahedron nor pyramid", result.detail)
+
+
+def test_c03_fails_when_the_walk_drops_an_admissible_stratum(monkeypatch):
+    real = st.iter_strata
+
+    def iter_strata(n, N, b=None, admissible_only=False):
+        walk = real(n, N, b=b, admissible_only=admissible_only)
+        if (n, N) == (4, 2):  # drop the first admissible stratum; it has one level
+            assert len(st.valid_levels(next(s for s in walk if st.valid_levels(s)))) == 1
+        return walk
+
+    monkeypatch.setattr(st, "iter_strata", iter_strata)
+    result = verify.run_criterion(3)
+    assert not result.passed
+    found = re.fullmatch(r"deepest cells at \(n=4, N=2\): (\d+) != (\d+)", result.detail)
+    assert found and int(found[1]) == int(found[2]) - 1
 
 
 @pytest.mark.parametrize("value", [0, -1, 2.5, "4"])

@@ -457,6 +457,73 @@ def test_weight_coefficients_reproduce_the_weights():
                     assert s2 * sum(r) + sum(c * v for c, v in zip(coeff, r)) == weight
 
 
+def _dense_weight(m, r, sign):
+    """Reference W_plus / W_minus: every slot (tau, k), occupied or not."""
+    counts, N, b = m.counts, m.N, m.b
+    rsum, rho = sum(r), tuple(itertools.accumulate(r, initial=0))
+    size = 2 * N * (b + 1)
+    ks = range(b + 1) if sign > 0 else range(1, b + 2)
+    return sum(counts[(2 * tau * (b + 1) + sign * k) % size] * (2 * tau * rsum + sign * rho[k])
+               for tau in range(N) for k in ks)
+
+
+def _dense_scan_coefficients(counts, N, b):
+    """Reference (s2, coeff): every slot read forward at k = 0..b and backward at k = 1..b+1."""
+    size, period = 2 * N * (b + 1), b + 1
+    s2, diff = 0, [0] * (b + 2)
+    for tau in range(N):
+        base = 2 * tau * period
+        for k in range(b + 1):
+            c = counts[(base + k) % size]
+            s2 += 2 * tau * c
+            if k >= 1:
+                diff[k] += c
+        for k in range(1, b + 2):
+            c = counts[(base - k) % size]
+            s2 += 2 * tau * c
+            diff[k] -= c
+    return s2, list(itertools.accumulate(diff[:0:-1]))[::-1]
+
+
+def _assert_sparse_reads_match_dense(m, r):
+    assert st._scan_coefficients(m.counts, m.N, m.b) == _dense_scan_coefficients(m.counts, m.N, m.b)
+    assert st.W_plus(m, r) == st._weight(m, r, 1) == _dense_weight(m, r, 1)
+    assert st.W_minus(m, r) == st._weight(m, r, -1) == _dense_weight(m, r, -1)
+
+
+def _one_hot(N, b, slot, count=1):
+    counts = [0] * (2 * N * (b + 1))
+    counts[slot] = count
+    return st.OccupancyVector(b, N, counts)
+
+
+@pytest.mark.parametrize("N, b", [(1, 0), (1, 2), (3, 1), (5, 5)])
+def test_sparse_reads_match_dense_on_edge_slots(N, b):
+    size = 2 * N * (b + 1)
+    r = tuple(range(2, b + 3))
+    vectors = [st.OccupancyVector(b, N, [0] * size), st.OccupancyVector(b, N, [3] * size)]
+    vectors += [_one_hot(N, b, b, 2), _one_hot(N, b, b + 1), _one_hot(N, b, b + 1, 4)]
+    vectors += [_one_hot(N, b, size - k, 2) for k in range(1, b + 2)]  # tau = 0's backward wrap
+    for m in vectors:
+        _assert_sparse_reads_match_dense(m, r)
+
+
+@hs.composite
+def sparse_vectors(draw):
+    N, b = draw(hs.integers(1, 5)), draw(hs.integers(0, 5))
+    counts = [0] * (2 * N * (b + 1))
+    for slot in draw(hs.lists(hs.integers(0, len(counts) - 1), max_size=6)):
+        counts[slot] += draw(hs.integers(1, 4))
+    r = draw(hs.lists(hs.integers(1, 6), min_size=b + 1, max_size=b + 1))
+    return st.OccupancyVector(b, N, counts), tuple(r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_vectors())
+def test_sparse_reads_match_dense(case):
+    _assert_sparse_reads_match_dense(*case)
+
+
 def test_bounded_scan_finds_a_smallest_total():
     occupancies = [st.occupancy(s) for n in range(1, 4) for N in (1, 2) for s in st.iter_strata(n, N)]
     occupancies.append(st.OccupancyVector(2, 1, (0, 2, 1, 0, 0, 0)))
@@ -673,6 +740,17 @@ def test_oracles_agree_on_any_all_ones_vector(m):
 
 # ---------------------------------------------------------------------------
 # enumeration
+
+
+def test_admissible_filter_drops_exactly_the_strata_without_levels():
+    # c03 counts cells over the filtered walk, so the filter must keep every
+    # stratum a freshly validated copy gives a level; the order must hold too
+    sizes = [(n, N, b) for n in range(1, 5) for N in range(1, 4) for b in range(n + 1)]
+    sizes += [(5, N, 5) for N in range(1, 4)]
+    for n, N, b in sizes:
+        kept = [s for s in st.iter_strata(n, N, b=b)
+                if st.valid_levels(st.Stratum(n, N, s.b, s.points))]
+        assert list(st.iter_strata(n, N, b=b, admissible_only=True)) == kept, (n, N, b)
 
 
 def test_enumeration_counts():
