@@ -99,44 +99,61 @@ def _cell_level(s: st.Stratum, levels: Tuple[int, ...], k: Optional[int]) -> int
     return k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DualComplex:
+    """Cells in id order and the cover graph over their positions, which equality and
+    hashing read.  _graph is (dims, up, down): cell i has dimension dims[i], covers
+    up[i] and is a cover of down[i], each tuple ascending."""
+
     n: int
     N: int
     cells: Tuple[Cell, ...]
-    incidence: FrozenSet[Tuple[str, str]]  # (face id, cell id), dims differ by 1
+    _graph: Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
 
-    def __post_init__(self) -> None:
-        """Put the cells in id order, then refuse a cell listed twice and an incidence that
-        is no cover: an unknown cell, a self-incidence or dims other than d and d + 1.  The
-        sorted-first bad pair is named."""
-        object.__setattr__(self, "cells", tuple(sorted(self.cells, key=attrgetter("id"))))
-        dims = {c.id: c.dim for c in self.cells}
-        if len(dims) != len(self.cells):
+    def __init__(self, n: int, N: int, cells: Iterable[Cell],
+                 incidence: Iterable[Tuple[str, str]]) -> None:
+        """Put the cells in id order and read the (face id, cell id) pairs of incidence
+        into _graph.  A cell listed twice is refused, and so is a
+        pair that is no cover: an unknown cell, a self-incidence or dims other than d
+        and d + 1.  The sorted-first bad pair is named."""
+        cells = tuple(sorted(cells, key=attrgetter("id")))
+        index = {c.id: i for i, c in enumerate(cells)}
+        if len(index) != len(cells):
             raise ValueError("cell %r is listed twice" % next(
-                a.id for a, b in zip(self.cells, self.cells[1:]) if a.id == b.id))
-        bad = [(lo, hi) for lo, hi in self.incidence
-               if lo not in dims or hi not in dims or dims[hi] - dims[lo] != 1]
+                a.id for a, b in zip(cells, cells[1:]) if a.id == b.id))
+        dims = tuple(c.dim for c in cells)
+        up, down, bad = [[] for _ in cells], [[] for _ in cells], []
+        for a, b in incidence:
+            lo, hi = index.get(a), index.get(b)
+            if lo is None or hi is None or dims[hi] - dims[lo] != 1:
+                bad.append((a, b))
+            elif hi not in up[lo]:  # a repeated pair counts once
+                up[lo].append(hi)
+                down[hi].append(lo)
         if bad:
             lo, hi = min(bad)
-            if lo not in dims or hi not in dims:
+            if lo not in index or hi not in index:
                 raise ValueError("incidence (%r, %r) references an unknown cell" % (lo, hi))
             if lo == hi:
                 raise ValueError("self-incidence (%r, %r)" % (lo, hi))
             raise ValueError("incidence (%r, %r) joins dims %d and %d, not d and d + 1"
-                             % (lo, hi, dims[lo], dims[hi]))
+                             % (lo, hi, dims[index[lo]], dims[index[hi]]))
+        for side in up, down:  # each list replaced as it is read, to keep the peak low
+            for i, js in enumerate(side):
+                side[i] = tuple(sorted(js))
+        graph = (dims, tuple(up), tuple(down))
+        for name, value in zip(("n", "N", "cells", "_graph"), (n, N, cells, graph)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def incidence(self) -> FrozenSet[Tuple[str, str]]:
+        """The covers as (face id, cell id) pairs, read off _graph."""
+        ids = [c.id for c in self.cells]
+        return frozenset((ids[lo], ids[hi]) for lo, his in enumerate(self._graph[1]) for hi in his)
 
     @cached_property
     def by_id(self) -> Dict[str, Cell]:
         return {c.id: c for c in self.cells}
-
-    @cached_property
-    def by_stratum(self) -> Dict[st.Stratum, Tuple[Cell, ...]]:
-        """The cells each stratum spans, one per neutral level, in id order."""
-        out: Dict[st.Stratum, List[Cell]] = {}
-        for c in self.cells:
-            out.setdefault(c.stratum, []).append(c)
-        return {s: tuple(cs) for s, cs in out.items()}
 
     @cached_property
     def by_dim(self) -> Dict[int, Tuple[Cell, ...]]:
@@ -162,23 +179,8 @@ class DualComplex:
         return tuple(self.cells[i].id for i in positions)
 
     def _position(self, cid: str) -> int:
-        """The position of the cell with id cid, which must be one of the complex's."""
+        """The position of the cell with id cid, or where it would stand in id order."""
         return bisect_left(self.cells, cid, key=attrgetter("id"))
-
-    @cached_property
-    def _graph(self) -> Tuple[List[int], List[Tuple[int, ...]], List[Tuple[int, ...]]]:
-        """(dims, up, down), the cover graph over cell positions, which are id order:
-        cell i has dimension dims[i], covers up[i] and is a cover of down[i], each
-        tuple ascending."""
-        index = {c.id: i for i, c in enumerate(self.cells)}
-        up: List[List[int]] = [[] for _ in self.cells]
-        down: List[List[int]] = [[] for _ in self.cells]
-        for lo, hi in self.incidence:
-            lo, hi = index[lo], index[hi]
-            up[lo].append(hi)
-            down[hi].append(lo)
-        return ([c.dim for c in self.cells], [tuple(sorted(js)) for js in up],
-                [tuple(sorted(js)) for js in down])
 
     @cached_property
     def _derived(self) -> dict:
@@ -246,19 +248,20 @@ def _build(n: int, N: int) -> DualComplex:
             cells.append(Cell(cid, s, k, dim, cls, shape))
         work.append((first, k, named))
 
-    incidence = set()
-    for first, k, named in work:
-        for plan in st._plans(st.chart_of(first), k, 1):
-            target = ids.get((plan.b, plan.xs, plan.k), {})
-            for taus, cid in named.items():
-                face = plan.residues(taus, N)
-                fid = target.get(face)
-                if fid is None:
-                    raise InvariantError("face %s missing from enumeration, a face of %s"
-                                         % (st.format_stratum(plan.stratum(n, N, face)), cid))
-                incidence.add((fid, cid))
+    def covers() -> Iterator[Tuple[str, str]]:
+        """(face id, cell id) of each codim-1 face of each cell; a cell's are distinct."""
+        for first, k, named in work:
+            for plan in st._plans(st.chart_of(first), k, 1):
+                target = ids.get((plan.b, plan.xs, plan.k), {})
+                for taus, cid in named.items():
+                    face = plan.residues(taus, N)
+                    fid = target.get(face)
+                    if fid is None:
+                        raise InvariantError("face %s missing from enumeration, a face of %s"
+                                             % (st.format_stratum(plan.stratum(n, N, face)), cid))
+                    yield fid, cid
 
-    return DualComplex(n, N, tuple(cells), frozenset(incidence))
+    return DualComplex(n, N, cells, covers())
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +286,8 @@ def delta_K(top: st.Stratum, k: Optional[int] = None) -> DualComplex:
         raise InvariantError("face strata of a single cell must be distinct")
     faces = st._face_masks(chart.vertices, center.k)  # (mask, dim) of each plan, then the whole
     up = polytope._labelled(range(len(chart.vertices)), faces)._scan[0][1]
-    return DualComplex(top.n, top.N, tuple(cells),
-                       frozenset((c.id, cells[j].id) for c, js in zip(cells, up) for j in js))
+    return DualComplex(top.n, top.N, cells,
+                       ((c.id, cells[j].id) for c, js in zip(cells, up) for j in js))
 
 
 def has_face_poset(cx: DualComplex, model: polytope.FacePoset) -> bool:
@@ -321,16 +324,15 @@ def local_chart(v: st.Stratum) -> StarReport:
     if not st.is_admissible(v) or st.cell_dimension(v) != 0:
         raise ValueError("not an admissible vertex stratum: %s" % st.format_stratum(v))
     cx = build(3, v.N)
-    cells = cx.by_stratum.get(v)
-    if not cells:
+    at = cx._position(_make_cell(v).id)  # n = 3 strata span one cell each
+    if at == len(cx.cells) or cx.cells[at].stratum != v:
         raise InvariantError("vertex missing from its own complex")
-    center = cells[0]  # n = 3 strata span one cell each
     _, up, down = cx._graph
-    tris = sorted({t for e in up[cx._position(center.id)] for t in up[e]})
+    tris = sorted({t for e in up[at] for t in up[e]})
     edges = sorted({e for t in tris for e in down[t]})
     vertices = sorted({u for e in edges for u in down[e]})
     return StarReport(
-        center=center,
+        center=cx.cells[at],
         triangles=cx._ids(tris),
         edges=cx._ids(edges),
         vertices=cx._ids(vertices),
@@ -715,8 +717,9 @@ def _export_json(cx: DualComplex) -> Iterator[str]:
            % (_json_str(SCHEMA_VERSION), cx.n, cx.N))
     yield from _json_array(map(entry, cx.cells), "  ")
     yield ',\n  "incidence": '
-    yield from _json_array(("    [\n      %s,\n      %s\n    ]" % (_json_str(lo), _json_str(hi))
-                            for lo, hi in sorted(cx.incidence)), "  ")
+    quoted = [_json_str(c.id) for c in cx.cells]  # positions are id order, so the pairs come sorted
+    yield from _json_array(("    [\n      %s,\n      %s\n    ]" % (quoted[lo], quoted[hi])
+                            for lo, his in enumerate(cx._graph[1]) for hi in his), "  ")
     yield "\n}\n"
 
 
@@ -897,4 +900,4 @@ def parse_complex(data) -> DualComplex:
         if not (isinstance(pair, list) and len(pair) == 2
                 and isinstance(pair[0], str) and isinstance(pair[1], str)):
             raise ValueError("incidence entry %r is not a pair of cell ids" % (pair,))
-    return DualComplex(n, N, tuple(cells), frozenset(map(tuple, pairs)))
+    return DualComplex(n, N, cells, pairs)

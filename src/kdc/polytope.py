@@ -51,9 +51,6 @@ class FacePoset:
             counts[d] += 1
         return tuple(counts)
 
-    def euler_sum(self) -> int:
-        return sum((-1) ** d * f for d, f in enumerate(self.f_vector()))
-
     def maximal_faces(self) -> Tuple[Face, ...]:
         out = []
         for f in self._faces:

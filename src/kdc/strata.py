@@ -310,7 +310,7 @@ def smooth(s: Stratum, j: int, mode: str = "hilbert") -> Optional[Stratum]:
     if s.b == 0:
         raise ValueError(f"a b=0 stratum has no level left to smooth: {format_stratum(s)}")
     chart = _facts(s)[0]
-    plan = _face_plan(chart, _point_runs(chart), ((1 << s.b + 1) - 1) & ~(1 << s.b + 1 - j), 0, 0)
+    plan = _face_plan(chart, _point_runs(chart), ((1 << s.b + 1) - 1) & ~(1 << s.b + 1 - j), 0)
     out = plan.stratum(s.n, s.N, plan.residues(_residues(s), s.N))
     if mode == "kummer" and not is_admissible(out):
         return None
@@ -318,7 +318,7 @@ def smooth(s: Stratum, j: int, mode: str = "hilbert") -> Optional[Stratum]:
 
 
 class FacePlan(NamedTuple):
-    """The face on the chart vertices in mask, for every stratum of one chart.
+    """The face on one subset of the chart vertices, for every stratum of one chart.
 
     Deleting a vertex collapses its level: each point at or above it moves
     one step toward zero, and one landing on -(b+1) flips to b+1 with its
@@ -329,8 +329,6 @@ class FacePlan(NamedTuple):
     b, xs (x per point) and k are the face's own.
     """
 
-    mask: int
-    dim: int
     b: int
     xs: tuple[int, ...]
     k: int
@@ -356,7 +354,7 @@ def _point_runs(chart: LineChart) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _face_plan(chart: LineChart, runs, mask: int, k: int, dim: int) -> FacePlan:
+def _face_plan(chart: LineChart, runs, mask: int, k: int) -> FacePlan:
     v = len(chart.vertices)
     new_level = [0]  # a point at level l lands on the kept vertices at levels 1..l
     for lv in range(1, v + 1):
@@ -382,7 +380,7 @@ def _face_plan(chart: LineChart, runs, mask: int, k: int, dim: int) -> FacePlan:
         else:
             segments.append((lo, hi, None))
     first = chart.vertices[(mask & -mask).bit_length() - 1]
-    return FacePlan(mask, dim, top - 1, tuple(xs), k + (first.x - first.y) // 2, tuple(segments))
+    return FacePlan(top - 1, tuple(xs), k + (first.x - first.y) // 2, tuple(segments))
 
 
 def _sides(verts: tuple, k: int) -> tuple[int, int, int]:
@@ -403,7 +401,7 @@ def _plans(chart: LineChart, k: int, codim: Optional[int] = None) -> tuple[FaceP
     """Plans of the proper faces of a cell of the chart at k, or of those codim below it."""
     masks, runs = _face_masks(chart.vertices, k), _point_runs(chart)
     want = None if codim is None else masks[-1][1] - codim
-    return tuple(_face_plan(chart, runs, mask, k, dim) for mask, dim in masks[:-1]
+    return tuple(_face_plan(chart, runs, mask, k) for mask, dim in masks[:-1]
                  if want is None or dim == want)
 
 
@@ -450,12 +448,13 @@ def specializations(s: Stratum) -> list[Stratum]:
         raise ValueError(f"inadmissible stratum: {format_stratum(s)}")
     if s.n < 2:
         return []
-    # dualcomplex imports this module, so build is imported on first use
-    from .dualcomplex import build
+    # dualcomplex imports this module, so its names are imported on first use
+    from .dualcomplex import _make_cell, build
 
     cx = build(s.n, s.N)
-    ups = {t for c in cx.by_stratum[s] for t in cx.up[c.id]}
-    return sorted({cx.by_id[t].stratum for t in ups}, key=canonical_key)
+    up = cx._graph[1]
+    ups = {t for k in valid_levels(s) for t in up[cx._position(_make_cell(s, k).id)]}
+    return sorted({cx.cells[t].stratum for t in ups}, key=canonical_key)
 
 
 # --- occupancy vectors and the weight obstruction -------------------------

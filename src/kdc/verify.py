@@ -360,7 +360,8 @@ def _c11(max_n, max_N) -> str:
         _need(len(groups.get(0, ())) == N + 1, "n=2 N=%d vertex count" % N)
         cx = dc.build(2, N)
         _need(cx.f_vector() == (N + 1, N), "n=2 N=%d f-vector" % N)
-        degrees = sorted(len(cx.up[v.id]) for v in cx.by_dim[0])
+        dims, up, _ = cx._graph
+        degrees = sorted(len(js) for d, js in zip(dims, up) if d == 0)
         _need(
             degrees == [1, 1] + [2] * (N - 1),
             "n=2 N=%d degree sequence %r" % (N, degrees),

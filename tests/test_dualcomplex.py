@@ -129,10 +129,11 @@ def test_ambiguous_levels_get_suffixed_ids():
     assert suffixed
     for c in suffixed:
         assert c.id == "%s@k=%d" % (st.format_stratum(c.stratum), c.k)
-    for s, cells in cx.by_stratum.items():
-        assert all(c.stratum == s for c in cells)
-        assert sorted(c.k for c in cells) == list(st.valid_levels(s))
-    assert sum(map(len, cx.by_stratum.values())) == len(cx.cells)
+    levels = {}
+    for c in cx.cells:
+        levels.setdefault(c.stratum, []).append(c.k)
+    for s, ks in levels.items():
+        assert sorted(ks) == list(st.valid_levels(s))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,7 @@ def test_pyramid_cell():
 def test_local_lattice_is_a_slice():
     for top in (D123, D12m3, E1234):
         cell = dc.delta_K(top)
-        on, above, below = cell.by_stratum[top][0].lattice_shape
+        on, above, below = cell.by_id[st.format_stratum(top)].lattice_shape
         assert dc.has_face_poset(cell, pt.slice_lattice(above, below, on))
 
 
@@ -244,7 +245,8 @@ def test_delta_K_guards():
     with pytest.raises(ValueError, match="ambiguous"):
         dc.delta_K(ambiguous)
     for k in (1, 2):
-        assert [c.k for c in dc.delta_K(ambiguous, k=k).by_stratum[ambiguous]] == [k]
+        cid = "%s@k=%d" % (st.format_stratum(ambiguous), k)
+        assert [c.id for c in dc.delta_K(ambiguous, k=k).cells if c.stratum == ambiguous] == [cid]
     with pytest.raises(ValueError):
         dc.delta_K(ambiguous, k=3)
     # k = 2 is a neutral level of the chart but fails the residue condition
@@ -728,13 +730,15 @@ NOT_A_COMPLEX = {
 
 @pytest.mark.parametrize("case", sorted(NOT_A_COMPLEX))
 def test_a_complex_refuses_what_is_not_a_complex(case):
-    """The constructor refuses, and parse_complex of the same tampered export says the same."""
+    """The constructor refuses, the pairs in a set or from a generator, and parse_complex
+    of the same tampered export says the same."""
     tamper, message = NOT_A_COMPLEX[case]
     cx = dc.build(3, 1)
     cells, incidence = tamper(cx)
-    with pytest.raises(ValueError) as err:
-        dc.DualComplex(3, 1, tuple(cells), frozenset(incidence))
-    assert str(err.value) == message
+    for pairs in frozenset(incidence), (pair for pair in incidence):
+        with pytest.raises(ValueError) as err:
+            dc.DualComplex(3, 1, tuple(cells), pairs)
+        assert str(err.value) == message
     data = json.loads(dc.export(cx, "json"))
     entry = {e["id"]: e for e in data["cells"]}
     data["cells"] = [entry[c.id] for c in cells]
@@ -762,6 +766,28 @@ def test_one_added_pair_is_refused_unless_it_is_a_cover(data):
         assert str(err.value) == "self-incidence (%r, %r)" % (lo, hi)
     else:
         assert str(err.value) == _skew(lo, hi, dims[lo], dims[hi])
+
+
+def test_the_pairs_may_come_in_any_iterable_and_repeat():
+    cx = dc.build(3, 2)
+    pairs = sorted(cx.incidence)
+    made = [dc.DualComplex(3, 2, cx.cells, (pair for pair in pairs)),
+            dc.DualComplex(3, 2, cx.cells, pairs + pairs[3:4]),
+            dc.DualComplex(3, 2, cx.cells, frozenset(pairs))]
+    for other in made:
+        assert other == cx and hash(other) == hash(cx) and other._graph == cx._graph
+        _, up, down = other._graph
+        assert all(len(set(js)) == len(js) for js in up + down)
+        assert sum(map(len, up)) == sum(map(len, down)) == len(pairs)
+
+
+def test_the_json_export_writes_the_incidence_and_reads_back():
+    cx = dc.build(4, 2)
+    data = json.loads(dc.export(cx, "json"))
+    assert data["incidence"] == [list(pair) for pair in sorted(cx.incidence)]
+    assert dc.DualComplex(cx.n, cx.N, cx.cells, cx.incidence) == cx
+    data["incidence"].insert(5, data["incidence"][2])
+    assert dc.parse_complex(data) == cx
 
 
 def test_automorphism_search_works_for_every_n():
@@ -913,7 +939,7 @@ def test_cell_invariant_names_its_cell(monkeypatch):
 
 def test_build_invariant_names_the_first_cell_of_its_group(monkeypatch):
     first = st._admissible_flat(3, 1)[0]
-    cell = dc.build(3, 1).by_stratum[first][0]
+    cell = dc.build(3, 1).by_id[st.format_stratum(first)]
     monkeypatch.setattr(st, "cell_dimension", lambda s: 7)
     with pytest.raises(InvariantError) as err:
         dc._build.__wrapped__(3, 1)
@@ -1385,7 +1411,13 @@ def test_the_n3_read_path_leaves_the_string_views_unbuilt():
     for fmt in ("json", "dot", "off", "tikz"):
         dc.export(fresh, fmt, labels=True)
     dc.automorphisms(fresh)
-    assert not {"up", "down", "by_id"} & set(vars(fresh))
+    assert not {"incidence", "up", "down", "by_id"} & set(vars(fresh))
+
+
+def test_the_ladder_path_leaves_the_string_views_unbuilt():
+    cx = dc._build.__wrapped__(5, 2)
+    dc.export(cx, "json")
+    assert not {"incidence", "up", "down", "by_id"} & set(vars(cx))
 
 
 def _cell_fields(cx):
